@@ -29,6 +29,9 @@ CLASSIFY_SLACK = 1e-12
 # ordering, so batched, chunked, and one-at-a-time evaluation agree bitwise.
 _QUERY_BLOCK = 256
 
+# Allowed gap between a model file's tau and the recomputed one (BLAS rounding).
+_TAU_TOLERANCE = 1e-9
+
 
 class ModelFormatError(ValueError):
     """Raised when a model file is corrupt, inconsistent, or from a newer format."""
@@ -96,7 +99,6 @@ class SupportModel:
     support: np.ndarray
     kernel: KernelSpec
     lam: float
-    tau: float
     factor: np.ndarray
     train_values: np.ndarray
 
@@ -112,50 +114,51 @@ class SupportModel:
     def dim(self) -> int:
         return self.support.shape[1]
 
+    @property
+    def tau(self) -> float:
+        """The margin 1 - min over training points of the classifier value."""
+        return 1.0 - float(self.train_values.min())
 
-def _block_quadratic_form(factor: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Columnwise phi_j' A^{-1} phi_j via the factor, as ||L^{-1} phi_j||^2.
 
-    The sum-of-squares form makes every value nonnegative in floating point,
-    not just in exact arithmetic.
+def _quadratic_form(kernel: KernelSpec, support, factor, queries) -> np.ndarray:
+    """F(x) = phi' (G + M lambda I)^{-1} phi at each query, as ||L^{-1} phi||^2.
+
+    phi is built and solved _QUERY_BLOCK columns at a time.  The sum of
+    squares keeps every value nonnegative in floating point.
     """
-    m, q = phi.shape
-    out = np.empty(q)
-    for start in range(0, q, _QUERY_BLOCK):
-        block = phi[:, start : start + _QUERY_BLOCK]
-        width = block.shape[1]
-        if width < _QUERY_BLOCK:
-            block = np.concatenate(
-                [block, np.zeros((m, _QUERY_BLOCK - width))], axis=1
-            )
-        y = solve_triangular(factor, block, lower=True, check_finite=False)
+    out = np.empty(queries.shape[0])
+    phi = np.zeros((support.shape[0], _QUERY_BLOCK))
+    for start in range(0, queries.shape[0], _QUERY_BLOCK):
+        chunk = queries[start : start + _QUERY_BLOCK]
+        width = chunk.shape[0]
+        phi[:, :width] = kernel_matrix(kernel, support, chunk)
+        phi[:, width:] = 0.0
+        y = solve_triangular(factor, phi, lower=True, check_finite=False)
         out[start : start + width] = (y * y).sum(axis=0)[:width]
     return out
+
+
+def _factorize(kernel: KernelSpec, support, lam: float):
+    """Cholesky factor of G + M lambda I, and the classifier at each support point.
+
+    The matrix is positive definite for any lambda > 0; a failure means corrupt input.
+    """
+    m = support.shape[0]
+    a = gram(kernel, support).entries.copy()
+    a[np.diag_indices(m)] += m * lam
+    factor = np.linalg.cholesky(a)
+    return factor, _quadratic_form(kernel, support, factor, support)
 
 
 def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
     """Fit the support classifier to a terminal-state sample.
 
-    Builds the Gram matrix G, factorizes G + M lambda I (positive definite
-    for any lambda > 0, so a factorization failure signals corrupted input),
-    evaluates the classifier at every training point, and sets the threshold
-    tau = 1 - min of those values.
+    Factorizes G + M lambda I and evaluates the classifier at every training
+    point; the model's tau is 1 - min of those values.
     """
-    m = samples.size
-    lam = config.resolve_lambda(m)
-    g = gram(config.kernel, samples.points)
-    a = g.entries + (m * lam) * np.eye(m)
-    factor = np.linalg.cholesky(a)
-    train_values = _block_quadratic_form(factor, g.entries)
-    tau = 1.0 - float(train_values.min())
-    return SupportModel(
-        support=samples.points.copy(),
-        kernel=config.kernel,
-        lam=lam,
-        tau=tau,
-        factor=factor,
-        train_values=train_values,
-    )
+    lam = config.resolve_lambda(samples.size)
+    factor, train_values = _factorize(config.kernel, samples.points, lam)
+    return SupportModel(samples.points.copy(), config.kernel, lam, factor, train_values)
 
 
 def _as_queries(model: SupportModel, points) -> np.ndarray:
@@ -174,12 +177,7 @@ def _as_queries(model: SupportModel, points) -> np.ndarray:
 def decision_values(model: SupportModel, points) -> np.ndarray:
     """Classifier values at a batch of query points (always >= 0)."""
     pts = _as_queries(model, points)
-    out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], _QUERY_BLOCK):
-        chunk = pts[start : start + _QUERY_BLOCK]
-        phi = kernel_matrix(model.kernel, model.support, chunk)
-        out[start : start + chunk.shape[0]] = _block_quadratic_form(model.factor, phi)
-    return out
+    return _quadratic_form(model.kernel, model.support, model.factor, pts)
 
 
 def decision_value(model: SupportModel, x) -> float:
@@ -195,20 +193,24 @@ def decision_threshold(model: SupportModel) -> float:
     return model.tau
 
 
+def _inside(model: SupportModel, values, level=None):
+    """Membership of classifier values: value >= 1 - tau (or ``level``), less slack."""
+    threshold = (1.0 - model.tau) if level is None else float(level)
+    return values >= threshold - CLASSIFY_SLACK
+
+
 def classify(model: SupportModel, x, level=None) -> bool:
     """True when x lies in the estimated support (classifier value >= 1 - tau).
 
     ``level`` overrides the membership threshold for level-set exploration;
     no convergence guarantee is attached to levels other than the default.
     """
-    threshold = (1.0 - model.tau) if level is None else float(level)
-    return bool(decision_value(model, x) >= threshold - CLASSIFY_SLACK)
+    return bool(_inside(model, decision_value(model, x), level))
 
 
 def classify_batch(model: SupportModel, points, level=None) -> np.ndarray:
     """Elementwise classify; equals mapping classify over the points."""
-    threshold = (1.0 - model.tau) if level is None else float(level)
-    return decision_values(model, points) >= threshold - CLASSIFY_SLACK
+    return _inside(model, decision_values(model, points), level)
 
 
 def _support_checksum(support: np.ndarray) -> str:
@@ -278,18 +280,11 @@ def load_model(path) -> SupportModel:
         raise ModelFormatError(f"model file {path} failed its support checksum")
     if not (np.isfinite(lam) and lam > 0):
         raise ModelFormatError(f"corrupt model file {path}: lambda must be positive")
-    if not np.isfinite(tau):
-        raise ModelFormatError(f"corrupt model file {path}: tau must be finite")
 
-    g = gram(kernel, support)
-    a = g.entries + (m * lam) * np.eye(m)
-    factor = np.linalg.cholesky(a)
-    train_values = _block_quadratic_form(factor, g.entries)
-    return SupportModel(
-        support=support,
-        kernel=kernel,
-        lam=lam,
-        tau=tau,
-        factor=factor,
-        train_values=train_values,
-    )
+    model = SupportModel(support, kernel, lam, *_factorize(kernel, support, lam))
+    if not abs(tau - model.tau) <= _TAU_TOLERANCE:
+        raise ModelFormatError(
+            f"corrupt model file {path}: stored tau {tau!r} does not match "
+            f"the tau {model.tau!r} recomputed from its support"
+        )
+    return model

@@ -15,7 +15,7 @@ from .estimator import (
     decision_values,
     fit,
 )
-from .kernels import KernelSpec, kernel_value_at_distance
+from .kernels import KernelSpec, _distances, kernel_value_at_distance
 from .systems import SystemConfig, child_seed, sample_terminal_states
 
 # Stream index used to draw the fresh reference sample in sweeps; chosen far
@@ -213,28 +213,26 @@ def _as_cloud(points, name):
     return arr
 
 
-def _pairwise_distances(a, b, metric):
-    diff = a[:, None, :] - b[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=-1))
+def _in_metric(distance, metric) -> float:
+    # sqrt(2 - 2 K(d)) is nondecreasing in d, so it maps the Euclidean max-min
+    # onto the kernel-metric max-min.
     if isinstance(metric, KernelSpec):
-        return np.sqrt(2.0 - 2.0 * kernel_value_at_distance(metric, d))
+        return float(np.sqrt(2.0 - 2.0 * kernel_value_at_distance(metric, distance)))
     if metric != "euclidean":
         raise ValueError(f"metric must be 'euclidean' or a KernelSpec, got {metric!r}")
-    return d
+    return float(distance)
 
 
 def directed_hausdorff(a, b, metric="euclidean") -> float:
     """max over points of ``a`` of the distance to the nearest point of ``b``."""
-    ac = _as_cloud(a, "a")
-    bc = _as_cloud(b, "b")
-    if ac.shape[1] != bc.shape[1]:
-        raise ValueError(f"dimension mismatch: {ac.shape[1]} vs {bc.shape[1]}")
-    return float(_pairwise_distances(ac, bc, metric).min(axis=1).max())
+    d = _distances(_as_cloud(a, "a"), _as_cloud(b, "b"))
+    return _in_metric(d.min(axis=1).max(), metric)
 
 
 def hausdorff(a, b, metric="euclidean") -> float:
     """Symmetric Hausdorff distance: the larger of the two directed distances."""
-    return max(directed_hausdorff(a, b, metric), directed_hausdorff(b, a, metric))
+    d = _distances(_as_cloud(a, "a"), _as_cloud(b, "b"))
+    return _in_metric(max(d.min(axis=1).max(), d.min(axis=0).max()), metric)
 
 
 def containment_rate(model: SupportModel, points) -> float:

@@ -39,8 +39,8 @@ class KernelSpec:
 class GramMatrix:
     """Pairwise kernel values over a point set.
 
-    Symmetry and the unit diagonal are exact: the upper triangle is computed
-    once and mirrored, and the diagonal is set to 1 directly.
+    Symmetry and the unit diagonal are exact by construction: (a - b)^2 equals
+    (b - a)^2 in IEEE arithmetic, and K(x, x) = K(0) = 1 for both kernels.
     """
 
     entries: np.ndarray
@@ -106,21 +106,24 @@ def kernel_metric(spec: KernelSpec, x, y) -> float:
     return float(np.sqrt(2.0 - 2.0 * kernel_eval(spec, x, y)))
 
 
-def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
-    """Cross kernel matrix with entries K(points[i], queries[j]), shape (M, Q)."""
+def _distances(points, queries) -> np.ndarray:
+    """Euclidean distances, shape (M, Q), summed one coordinate at a time."""
     p = _as_points(points)
     q = _as_points(queries)
     if p.shape[1] != q.shape[1]:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
-    diff = p[:, None, :] - q[None, :, :]
-    return kernel_value_at_distance(spec, np.sqrt((diff * diff).sum(axis=-1)))
+    total = np.zeros((p.shape[0], q.shape[0]))
+    for k in range(p.shape[1]):
+        diff = np.subtract.outer(p[:, k], q[:, k])
+        total += np.square(diff, out=diff)
+    return np.sqrt(total, out=total)
+
+
+def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
+    """Cross kernel matrix with entries K(points[i], queries[j]), shape (M, Q)."""
+    return kernel_value_at_distance(spec, _distances(points, queries))
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix of a point set: entries[i][j] = K(points[i], points[j])."""
-    pts = _as_points(points)
-    m = pts.shape[0]
-    full = kernel_matrix(spec, pts, pts)
-    upper = np.triu(full, k=1)
-    entries = upper + upper.T + np.eye(m)
-    return GramMatrix(entries)
+    return GramMatrix(kernel_matrix(spec, points, points))

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelreach import load_model, load_sample_csv
+from kernelreach import ModelFormatError, load_model, load_sample_csv
 from kernelreach.cli import main
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -239,6 +239,22 @@ def test_load_model_corrupt_exit_code(tmp_path):
     bad.write_text("{broken")
     assert main(["query", "--model", str(bad), "--points", str(bad),
                  "--out", str(tmp_path / "q.csv")]) == 2
+
+
+def test_query_rejects_model_with_wrong_tau(tmp_path, capsys):
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(model_path)]) == 0
+    doc = json.loads(model_path.read_text())
+    doc["tau"] += 0.05
+    model_path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="tau"):
+        load_model(model_path)
+    capsys.readouterr()
+    assert main(["query", "--model", str(model_path), "--points", str(samples),
+                 "--out", str(tmp_path / "q.csv")]) == 2
+    assert "tau" in capsys.readouterr().err
 
 
 def test_checked_in_configs_parse(tmp_path):

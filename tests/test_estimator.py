@@ -166,6 +166,31 @@ def test_classify_batch_equals_sequential():
     )
 
 
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 60),
+    st.integers(1, 7),
+    st.integers(0, 600),
+    st.sampled_from(["abel", "gaussian"]),
+)
+@settings(max_examples=15, deadline=None)
+def test_batch_chunk_and_order_invariance(seed, m, n, q, family):
+    # one fixed block geometry: a query's value is the same bits in any batch
+    rng = np.random.default_rng(seed)
+    samples = SampleSet(rng.normal(size=(m, n)))
+    model = fit(samples, FitConfig(KernelSpec(family, 0.5)))
+    queries = rng.normal(scale=1.5, size=(q, n))
+    whole = decision_values(model, queries)
+    cuts = np.sort(rng.integers(0, q + 1, size=int(rng.integers(0, 4))))
+    parts = [decision_values(model, part) for part in np.split(queries, cuts)]
+    assert np.array_equal(whole, np.concatenate(parts))
+    assert np.array_equal(whole, [decision_value(model, x) for x in queries])
+    order = rng.permutation(q)
+    assert np.array_equal(whole[order], decision_values(model, queries[order]))
+    assert np.array_equal(model.train_values, decision_values(model, model.support))
+    assert classify_batch(model, samples.points).all()
+
+
 def test_permutation_invariance():
     rng = np.random.default_rng(12)
     pts = rng.normal(size=(40, 3))

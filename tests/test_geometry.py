@@ -228,17 +228,21 @@ def test_hausdorff_one_dimensional_points():
 
 def test_hausdorff_matches_brute_force_exactly():
     rng = np.random.default_rng(7)
-    a = rng.normal(size=(20, 2))
-    b = rng.normal(size=(17, 2))
-    assert directed_hausdorff(a, b) == _brute_force_directed(a, b)
-    assert directed_hausdorff(b, a) == _brute_force_directed(b, a)
-    assert hausdorff(a, b) == max(_brute_force_directed(a, b), _brute_force_directed(b, a))
+    for n in (2, 4):
+        a = rng.normal(size=(20, n))
+        b = rng.normal(size=(17, n))
+        assert directed_hausdorff(a, b) == _brute_force_directed(a, b)
+        assert directed_hausdorff(b, a) == _brute_force_directed(b, a)
+        assert hausdorff(a, b) == max(_brute_force_directed(a, b), _brute_force_directed(b, a))
 
-    spec = KernelSpec("abel", 0.5)
-    assert directed_hausdorff(a, b, metric=spec) == _brute_force_directed(a, b, spec)
-    assert hausdorff(a, b, metric=spec) == max(
-        _brute_force_directed(a, b, spec), _brute_force_directed(b, a, spec)
-    )
+        for spec in (KernelSpec("abel", 0.5), KernelSpec("gaussian", 0.5)):
+            assert directed_hausdorff(a, b, metric=spec) == _brute_force_directed(a, b, spec)
+            assert hausdorff(a, b, metric=spec) == max(
+                _brute_force_directed(a, b, spec), _brute_force_directed(b, a, spec)
+            )
+            assert hausdorff(a, b, metric=spec) == max(
+                directed_hausdorff(a, b, metric=spec), directed_hausdorff(b, a, metric=spec)
+            )
 
 
 def test_hausdorff_symmetric_exactly():

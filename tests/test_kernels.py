@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelreach import GramMatrix, KernelSpec, gram, kernel_eval, kernel_metric
+from kernelreach.kernels import kernel_matrix
 
 
 def test_spec_rejects_bad_bandwidth():
@@ -150,11 +151,15 @@ def test_gram_matches_brute_force():
 
 
 def test_gram_symmetry_and_diagonal_exact():
+    # exact by construction: no mirroring, gram is kernel_matrix(p, p)
     rng = np.random.default_rng(11)
-    pts = rng.normal(size=(60, 4))
-    g = gram(KernelSpec("abel", 0.5), pts)
-    assert np.array_equal(g.entries, g.entries.T)
-    assert np.all(np.diag(g.entries) == 1.0)
+    for m, n in ((60, 4), (257, 2), (33, 9)):
+        pts = rng.normal(size=(m, n))
+        for spec in (KernelSpec("abel", 0.5), KernelSpec("gaussian", 0.5)):
+            g = gram(spec, pts)
+            assert np.array_equal(g.entries, g.entries.T)
+            assert np.all(np.diag(g.entries) == 1.0)
+            assert np.array_equal(g.entries, kernel_matrix(spec, pts, pts))
 
 
 @pytest.mark.parametrize("m", [5, 50, 200])
