@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .estimator import (
     RECIPROCAL_M,
     FitConfig,
@@ -274,7 +275,7 @@ def cmd_query(args) -> int:
     values = decision_values(model, points.points)
     inside = classify_batch(model, points.points)
     elapsed = time.perf_counter() - start
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(args.out, newline="") as fh:
         fh.write("value,inside\n")
         for value, flag in zip(values, inside):
             fh.write(f"{float(value)!r},{int(flag)}\n")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from .atomic import atomic_write
 from .kernels import KernelSpec, gram, kernel_matrix
 
 RECIPROCAL_M = "reciprocal-m"
@@ -236,7 +237,7 @@ def save_model(model: SupportModel, path) -> None:
         "support": [float(v) for v in model.support.ravel()],
         "checksum": _support_checksum(model.support),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh)
         fh.write("\n")
 

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_write
 from .estimator import (
     RECIPROCAL_M,
     FitConfig,
@@ -348,7 +349,7 @@ def grid_to_dict(grid: GridSpec) -> dict:
 
 def write_contour_csv(contour: ContourSet, path) -> None:
     """Segments as CSV rows x1a,x2a,x1b,x2b."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write("x1a,x2a,x1b,x2b\n")
         for segment in contour.segments:
             fh.write(",".join(repr(float(v)) for v in segment.ravel()) + "\n")
@@ -356,13 +357,13 @@ def write_contour_csv(contour: ContourSet, path) -> None:
 
 def write_contour_sidecar(contour: ContourSet, grid: GridSpec, tau: float, path) -> None:
     doc = {"level": float(contour.level), "tau": float(tau), "grid": grid_to_dict(grid)}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
 
 
 def write_sweep_csv(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "seed", "tau", "sym_diff_area", "hausdorff_to_reference"])
         for row in rows:

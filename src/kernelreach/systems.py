@@ -15,15 +15,22 @@ All randomness flows through numpy Generators.  Sample i of a run uses the
 child seed ``child_seed(master_seed, i)``; the mixing function is pinned to
 numpy's SeedSequence spawn mechanism so runs reproduce themselves exactly
 regardless of evaluation order.
+
+One simulator serves single trajectories and sample sets: it steps a batch
+of states together, each sample drawing from its own Generator in step
+order, and every operation acts on each sample separately.  A batch is
+therefore bitwise equal to its samples stepped one at a time.
 """
 
 import csv
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_write
 from .estimator import SampleSet
 
 # Admissible thrust box for the CWH system: each input coordinate must lie
@@ -33,6 +40,11 @@ CWH_INPUT_LIMIT = 0.1
 # Default open-loop CWH policy: constant small thrust toward the docking
 # target at the origin (the built-in initial condition sits at negative x, y).
 DEFAULT_CWH_THRUST = 0.01
+
+# Samples stepped together at most.  Each live sample holds a Generator
+# (about 0.9 kB) and its share of the step temporaries, so blocks bound the
+# sampler's memory at large M without slowing it.
+_SAMPLE_BLOCK = 4096
 
 RELU = "relu"
 TANH = "tanh"
@@ -107,6 +119,9 @@ class NoDisturbance:
 class GaussianDisturbance:
     mean: tuple
     covariance_diagonal: tuple
+    # read-only arrays built once, so a draw is one multiply-add
+    _mean: np.ndarray = field(init=False, repr=False, compare=False)
+    _sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
@@ -115,15 +130,24 @@ class GaussianDisturbance:
         )
         if len(self.mean) != len(self.covariance_diagonal):
             raise ValueError("mean and covariance diagonal must have equal length")
+        if not all(math.isfinite(v) for v in self.mean + self.covariance_diagonal):
+            raise ValueError("Gaussian parameters must be finite")
         if any(v < 0 for v in self.covariance_diagonal):
             raise ValueError("covariance diagonal entries must be nonnegative")
+        mean = np.array(self.mean)
+        sd = np.sqrt(np.array(self.covariance_diagonal))
+        mean.flags.writeable = False
+        sd.flags.writeable = False
+        object.__setattr__(self, "_mean", mean)
+        object.__setattr__(self, "_sd", sd)
 
     def sample(self, rng, dim: int) -> np.ndarray:
         if dim != len(self.mean):
             raise ValueError(
                 f"disturbance dimension {len(self.mean)} does not match state dimension {dim}"
             )
-        return sample_gaussian(self.mean, self.covariance_diagonal, rng)
+        # the formula of sample_gaussian, without its per-call argument checks
+        return self._mean + self._sd * rng.standard_normal(dim)
 
 
 @dataclass(frozen=True)
@@ -235,10 +259,26 @@ class SaturatedFeedback:
     saturation: float = 1.0
 
 
+def _matvec(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``weights @ v`` for one vector (k,) or for each row of a batch (M, k).
+
+    The stacked product makes the same BLAS matrix-vector call per row that
+    ``weights @ row`` makes, so every batched row is bitwise equal to the
+    product on that row alone.  ``v @ weights.T`` and ``einsum`` sum in
+    another order and differ in the last bit on many entries; so does the
+    stacked product on a non-contiguous batch.
+    """
+    return np.matmul(weights, np.ascontiguousarray(v)[..., None])[..., 0]
+
+
 def mlp_forward(controller: MlpController, state) -> np.ndarray:
-    """Evaluate the network: affine map then activation per layer, then clamp."""
+    """Evaluate the network on one state (n,) or a batch of states (M, n).
+
+    Affine map then activation per layer, then clamp.  Row i of a batch is
+    bitwise equal to the network evaluated on state i alone.
+    """
     v = np.asarray(state, dtype=float)
-    if v.ndim != 1 or v.size != controller.input_dim:
+    if v.ndim not in (1, 2) or v.shape[-1] != controller.input_dim:
         raise ValueError(
             f"controller expects an input of dimension {controller.input_dim}, got shape {v.shape}"
         )
@@ -247,7 +287,7 @@ def mlp_forward(controller: MlpController, state) -> np.ndarray:
     for index, layer in enumerate(controller.layers):
         # overflow is detected by the finite check, not raised as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            v = _ACTIVATIONS[layer.activation](layer.weights @ v + layer.bias)
+            v = _ACTIVATIONS[layer.activation](_matvec(layer.weights, v) + layer.bias)
         if not np.all(np.isfinite(v)):
             raise ValueError(f"non-finite controller activation at layer {index}")
     if controller.saturation is not None:
@@ -256,12 +296,12 @@ def mlp_forward(controller: MlpController, state) -> np.ndarray:
     return v
 
 
-def control_output(controller, state) -> np.ndarray:
+def _tora_controls(controller, x: np.ndarray) -> np.ndarray:
+    """Scalar TORA control of each column of a state-major (4, M) batch."""
     if isinstance(controller, MlpController):
-        return mlp_forward(controller, state)
-    u = -controller.k1 * state[2] - controller.k2 * state[3]
-    sat = controller.saturation
-    return np.array([min(max(u, -sat), sat)])
+        return mlp_forward(controller, x.T)[:, 0]
+    u = -controller.k1 * x[2] - controller.k2 * x[3]
+    return np.minimum(np.maximum(u, -controller.saturation), controller.saturation)
 
 
 def mlp_controller_from_dict(doc: dict) -> MlpController:
@@ -322,7 +362,7 @@ def load_mlp_controller(path) -> MlpController:
 
 
 def save_mlp_controller(controller: MlpController, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(mlp_controller_to_dict(controller), fh)
         fh.write("\n")
 
@@ -476,16 +516,34 @@ def cwh_discrete_matrices(omega: float, mass: float, dt: float):
     return a, b
 
 
+def _check_cwh_controls(controls: np.ndarray) -> None:
+    """Reject a thrust schedule (K, 2) with any entry outside the admissible box."""
+    # NaN fails the comparison too, so non-finite thrust is rejected here
+    outside = np.flatnonzero(~np.all(np.abs(controls) <= CWH_INPUT_LIMIT, axis=1))
+    if outside.size:
+        k = outside[0]
+        raise ValueError(
+            f"control {controls[k]} at step {k} lies outside the admissible box "
+            f"[-{CWH_INPUT_LIMIT}, {CWH_INPUT_LIMIT}]^2"
+        )
+
+
 def cwh_step(a: np.ndarray, b: np.ndarray, state, control, noise) -> np.ndarray:
-    """One discrete CWH step: A state + B u + w, with u checked against the input box."""
+    """One discrete CWH step A x + B u + w, with u checked against the input box.
+
+    ``state`` and ``noise`` are one state (4,) or a batch (M, 4) that shares
+    the control u; row i of a batch is bitwise equal to the step on state i.
+    """
     u = np.asarray(control, dtype=float)
     if u.shape != (2,):
         raise ValueError("CWH control must be a 2-vector")
-    if not np.all(np.isfinite(u)) or np.any(np.abs(u) > CWH_INPUT_LIMIT):
-        raise ValueError(
-            f"control {u} lies outside the admissible box [-{CWH_INPUT_LIMIT}, {CWH_INPUT_LIMIT}]^2"
-        )
-    return a @ np.asarray(state, dtype=float) + b @ u + np.asarray(noise, dtype=float)
+    _check_cwh_controls(u[None])
+    return _matvec(a, np.asarray(state, dtype=float)) + b @ u + np.asarray(noise, dtype=float)
+
+
+def _tora_field(x: np.ndarray, u) -> np.ndarray:
+    # unchecked; x is one state (4,) or a state-major batch (4, M)
+    return np.array([x[1], -x[0] + 0.1 * np.sin(x[2]), x[3], u])
 
 
 def tora_derivative(state, u: float) -> np.ndarray:
@@ -495,7 +553,7 @@ def tora_derivative(state, u: float) -> np.ndarray:
         raise ValueError("TORA state must be a 4-vector")
     if not (np.all(np.isfinite(x)) and np.isfinite(u)):
         raise ValueError("non-finite state or control")
-    return np.array([x[1], -x[0] + 0.1 * np.sin(x[2]), x[3], float(u)])
+    return _tora_field(x, float(u))
 
 
 def rk4_step(derivative, state, u, h: float) -> np.ndarray:
@@ -508,41 +566,51 @@ def rk4_step(derivative, state, u, h: float) -> np.ndarray:
     k3 = derivative(x + 0.5 * h * k2, u)
     k4 = derivative(x + h * k3, u)
     nxt = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(nxt)):
+    if not np.isfinite(nxt).all():
         raise ValueError("integration produced a non-finite state")
     return nxt
 
 
-def _simulate(config: SystemConfig, x0: np.ndarray, rng) -> np.ndarray:
+def _steps(config: SystemConfig, x0: np.ndarray, rngs):
+    """Step M samples together; yield the (M, 4) batch after each control step.
+
+    Row i of ``x0`` is the initial state of sample i, and ``rngs[i]`` is its
+    Generator, drawn from once per step in step order.  Every operation acts
+    on each sample separately, so row i is bitwise equal to sample i stepped
+    on its own: the batch never couples samples.
+    """
     system = config.system
     horizon = config.horizon
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (4,):
+    if x0.ndim != 2 or x0.shape[1] != 4:
         raise ValueError("state must be a 4-vector")
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(x0)):
         raise ValueError("initial state has non-finite entries")
 
-    trajectory = np.empty((horizon + 1, 4))
-    trajectory[0] = x
+    def noise():
+        return np.array([config.disturbance.sample(rng, 4) for rng in rngs])
 
     if isinstance(system, CwhSystem):
         a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
         inputs = system.resolved_inputs(horizon)
-        for k in range(horizon):
-            w = config.disturbance.sample(rng, 4)
-            x = cwh_step(a, b, x, inputs[k], w)
-            trajectory[k + 1] = x
+        _check_cwh_controls(inputs)
+        x = x0
+        for u in inputs:
+            x = _matvec(a, x) + b @ u + noise()
+            yield x
     elif isinstance(system, ToraSystem):
         h = system.control_period / system.integrator_substeps
-        for k in range(horizon):
-            u = float(control_output(system.controller, x)[0])
-            for _ in range(system.integrator_substeps):
-                x = rk4_step(tora_derivative, x, u, h)
-            x = x + config.disturbance.sample(rng, 4)
-            trajectory[k + 1] = x
+        # state-major (4, M): each coordinate of the field is one array op
+        x = x0.T
+        for _ in range(horizon):
+            # divergence is reported by rk4_step's finite check, not by warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                u = _tora_controls(system.controller, x)
+                for _ in range(system.integrator_substeps):
+                    x = rk4_step(_tora_field, x, u, h)
+            x = x + noise().T
+            yield x.T
     else:
         raise ValueError("external sample sources cannot be simulated")
-    return trajectory
 
 
 def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
@@ -552,12 +620,11 @@ def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
     ``numpy.random.default_rng(seed)`` with exactly one draw per control
     step.  The draw enters the CWH update additively inside the step; for
     TORA it is added to the state after the control period is integrated.
+    This is the batch simulator of ``sample_terminal_states`` on a batch of one.
     """
-    return _simulate(config, np.asarray(x0, dtype=float), np.random.default_rng(seed))
-
-
-def draw_initial_state(initial, rng) -> np.ndarray:
-    return initial.draw(rng)
+    x0 = np.asarray(x0, dtype=float)
+    steps = _steps(config, x0[None], [np.random.default_rng(seed)])
+    return np.array([x0, *(x[0] for x in steps)])
 
 
 def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -> SampleSet:
@@ -566,6 +633,8 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
     Sample i runs on its own stream seeded with ``child_seed(master_seed,
     i)``; the initial condition (when random) is drawn from that same stream
     before the trajectory, so results do not depend on evaluation order.
+    The samples are stepped together, in blocks of up to 4096, and each
+    terminal state is bitwise equal to simulating that sample on its own.
     For an external source the first ``count`` file rows are returned.
     """
     if count < 1:
@@ -579,14 +648,18 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
             )
         return SampleSet(samples.points[:count], provenance=f"external:{system.path}")
 
-    points = np.empty((count, 4))
-    for i in range(count):
-        rng = np.random.default_rng(child_seed(master_seed, i))
-        x0 = draw_initial_state(config.initial, rng)
-        points[i] = _simulate(config, x0, rng)[-1]
+    blocks = []
+    for start in range(0, count, _SAMPLE_BLOCK):
+        stop = min(count, start + _SAMPLE_BLOCK)
+        rngs = [np.random.default_rng(child_seed(master_seed, i)) for i in range(start, stop)]
+        x = np.array([config.initial.draw(rng) for rng in rngs], dtype=float)
+        for x in _steps(config, x, rngs):
+            pass  # keep only the state after the last step
+        blocks.append(x)
     name = type(system).__name__
     return SampleSet(
-        points, provenance=f"{name} N={config.horizon} M={count} seed={master_seed}"
+        np.concatenate(blocks),
+        provenance=f"{name} N={config.horizon} M={count} seed={master_seed}",
     )
 
 
@@ -597,7 +670,7 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
 
 def save_sample_csv(samples: SampleSet, path) -> None:
     """Write terminal states as CSV with header x1..xn and round-trip decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         fh.write(",".join(f"x{j + 1}" for j in range(samples.dim)) + "\n")
         for row in samples.points:
             fh.write(",".join(repr(float(v)) for v in row) + "\n")

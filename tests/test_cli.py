@@ -72,6 +72,23 @@ def test_simulate_missing_config_is_io_error(tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 3
 
 
+def test_simulate_diverging_sample_is_config_error(tmp_path, capsys):
+    # one of the eight initial states sits near 3e307 in x2 and overflows in RK4
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "system": {"kind": "tora"},
+        "horizon": 1,
+        "initial": {"kind": "uniform-box", "lo": [0.6, -0.7, -0.4, 0.5],
+                    "hi": [0.7, 3.3e307, -0.3, 0.6]},
+        "sample_size": 8,
+        "master_seed": 8,
+    }))
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert "error: integration produced a non-finite state" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_json_reports_line(tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text('{"system": {,}')

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import expit
 
 from kernelreach import (
     BoxInitial,
@@ -443,6 +444,202 @@ def test_external_source_sampling(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# Batched simulation against the scalar reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_terminal_states(config, count, master_seed):
+    """The per-sample loop the batched simulator replaced, one 4-vector at a time."""
+    system = config.system
+    points = []
+    for i in range(count):
+        rng = np.random.default_rng(child_seed(master_seed, i))
+        x = np.asarray(config.initial.draw(rng), dtype=float)
+
+        def disturbance():
+            spec = config.disturbance
+            if isinstance(spec, GaussianDisturbance):
+                return sample_gaussian(spec.mean, spec.covariance_diagonal, rng)
+            return spec.sample(rng, 4)
+
+        if isinstance(system, CwhSystem):
+            a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
+            for u in system.resolved_inputs(config.horizon):
+                x = a @ x + b @ u + disturbance()
+        else:
+            ctrl = system.controller
+            h = system.control_period / system.integrator_substeps
+            for _ in range(config.horizon):
+                if isinstance(ctrl, MlpController):
+                    v = x
+                    for layer in ctrl.layers:
+                        v = _REFERENCE_ACTIVATIONS[layer.activation](layer.weights @ v + layer.bias)
+                    u = float(np.clip(v, *ctrl.saturation)[0])
+                else:
+                    u = min(max(-ctrl.k1 * x[2] - ctrl.k2 * x[3], -ctrl.saturation), ctrl.saturation)
+                for _ in range(system.integrator_substeps):
+                    x = rk4_step(tora_derivative, x, u, h)
+                x = x + disturbance()
+        points.append(x)
+    return np.array(points)
+
+
+_REFERENCE_ACTIVATIONS = {
+    "tanh": np.tanh,
+    "relu": lambda v: np.maximum(v, 0.0),
+    "sigmoid": expit,
+    "linear": lambda v: v,
+}
+
+
+def _random_mlp(seed):
+    rng = np.random.default_rng(seed)
+    shapes = ((20, 4, "tanh"), (20, 20, "relu"), (20, 20, "sigmoid"), (1, 20, "linear"))
+    layers = tuple(
+        MlpLayer(rng.normal(scale=0.5, size=(rows, cols)), rng.normal(scale=0.1, size=rows), act)
+        for rows, cols, act in shapes
+    )
+    return MlpController(layers, saturation=([-0.5], [0.5]))
+
+
+_BETA = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4, mask=(1, 0, 1, 1))
+_GAUSS = GaussianDisturbance((0.0, 1e-3, 0.0, -1e-5), (1e-4, 1e-4, 5e-8, 5e-8))
+_ORACLE_CONFIGS = {
+    "tora-feedback-beta": _tora_config(horizon=25, disturbance=_BETA),
+    "tora-mlp": _tora_config(horizon=25, disturbance=_BETA, controller=_random_mlp(8)),
+    "cwh-gaussian-inputs": _cwh_config(
+        horizon=8,
+        disturbance=_GAUSS,
+        inputs=np.random.default_rng(12).uniform(-0.1, 0.1, size=(8, 2)),
+    ),
+}
+
+
+@pytest.mark.parametrize("count", [1, 3, 50])
+@pytest.mark.parametrize("name", sorted(_ORACLE_CONFIGS))
+def test_batched_sampler_matches_scalar_reference_bitwise(name, count):
+    config = _ORACLE_CONFIGS[name]
+    batched = sample_terminal_states(config, count, master_seed=404).points
+    assert np.array_equal(batched, _reference_terminal_states(config, count, 404))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_tora_config(horizon=20, disturbance=_BETA), _ORACLE_CONFIGS["cwh-gaussian-inputs"]],
+    ids=["tora-box", "cwh"],
+)
+@pytest.mark.parametrize("k", [1, 7])
+def test_batch_size_never_couples_samples(config, k):
+    full = sample_terminal_states(config, 50, master_seed=11).points
+    assert np.array_equal(full[:k], sample_terminal_states(config, k, master_seed=11).points)
+
+
+def test_samples_across_blocks_match_their_own_streams():
+    # more samples than one block holds: the last rows still run on their own streams
+    config = _ORACLE_CONFIGS["cwh-gaussian-inputs"]
+    count = 4100
+    points = sample_terminal_states(config, count, master_seed=31).points
+    assert points.shape == (count, 4)
+    x0 = np.array([-0.75, -0.75, 0.0, 0.0])
+    for i in (0, 4095, 4096, count - 1):
+        direct = simulate_trajectory(config, x0, seed=child_seed(31, i))
+        assert np.array_equal(points[i], direct[-1])
+
+
+def test_mlp_forward_batch_rows_equal_single_states():
+    rng = np.random.default_rng(21)
+    for rows, cols in ((4, 4), (20, 4), (20, 20), (1, 20), (64, 64)):
+        net = MlpController((MlpLayer(rng.normal(size=(rows, cols)), rng.normal(size=rows), "tanh"),))
+        batch = rng.normal(size=(50, cols))
+        out = mlp_forward(net, batch)
+        assert out.shape == (50, rows)
+        assert np.array_equal(out, np.array([mlp_forward(net, v) for v in batch]))
+        assert np.array_equal(out[0], np.tanh(net.layers[0].weights @ batch[0] + net.layers[0].bias))
+        # a transposed (non-contiguous) batch gives the same rows
+        assert np.array_equal(mlp_forward(net, np.asfortranarray(batch)), out)
+
+
+def test_cwh_step_batch_rows_equal_single_states():
+    a, b = cwh_discrete_matrices(**CWH_DEFAULTS)
+    rng = np.random.default_rng(22)
+    states = rng.normal(size=(30, 4))
+    noise = rng.normal(scale=1e-3, size=(30, 4))
+    u = np.array([0.05, -0.1])
+    out = cwh_step(a, b, states, u, noise)
+    assert np.array_equal(out, np.array([a @ x + b @ u + w for x, w in zip(states, noise)]))
+
+
+# Sample 4 of 8 is the only one that overflows for these seeds: a huge initial
+# x2 in the RK4 stage sum, and a 1e308 weight in the network's second layer.
+_DIVERGING = {
+    "huge-box-corner": (
+        SystemConfig(
+            system=ToraSystem(),
+            horizon=1,
+            initial=BoxInitial((0.6, -0.7, -0.4, 0.5), (0.7, 3.3e307, -0.3, 0.6)),
+        ),
+        8,
+    ),
+    "1e308-weight-mlp": (
+        SystemConfig(
+            system=ToraSystem(
+                controller=MlpController(
+                    (
+                        MlpLayer(np.array([[1e308, 0.0, 0.0, 0.0]]), np.zeros(1), "linear"),
+                        MlpLayer(np.array([[10.0]]), np.zeros(1), "linear"),
+                    ),
+                    saturation=([-1.0], [1.0]),
+                )
+            ),
+            horizon=1,
+            initial=BoxInitial((0.0, -0.7, -0.4, 0.5), (0.2, -0.6, -0.3, 0.6)),
+        ),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIVERGING))
+def test_one_diverging_sample_fails_the_batch(name):
+    config, seed = _DIVERGING[name]
+    diverges = []
+    for i in range(8):
+        x0 = config.initial.draw(np.random.default_rng(child_seed(seed, i)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                simulate_trajectory(config, x0, seed=0)
+                diverges.append(False)
+            except ValueError:
+                diverges.append(True)
+    assert diverges == [False] * 4 + [True] + [False] * 3
+    assert np.all(np.isfinite(sample_terminal_states(config, 4, master_seed=seed).points))
+    with pytest.raises(ValueError, match="non-finite"):
+        sample_terminal_states(config, 8, master_seed=seed)
+
+
+class _CountingDisturbance:
+    def __init__(self):
+        self.draws = 0
+
+    def sample(self, rng, dim):
+        self.draws += 1
+        return np.zeros(dim)
+
+
+@pytest.mark.parametrize("bad", [(0.0, 0.2), (-0.11, 0.0)])
+def test_cwh_inputs_outside_box_rejected_before_any_step(bad):
+    inputs = np.zeros((6, 2))
+    inputs[4] = bad
+    counter = _CountingDisturbance()
+    config = _cwh_config(horizon=6, disturbance=counter, inputs=inputs)
+    with pytest.raises(ValueError, match="step 4 lies outside the admissible box"):
+        sample_terminal_states(config, 5, master_seed=0)
+    assert counter.draws == 0
+    # entries beyond the horizon are never used, so they are not checked
+    assert sample_terminal_states(_cwh_config(horizon=4, inputs=inputs), 2, master_seed=0).size == 2
+
+
+# ---------------------------------------------------------------------------
 # Disturbance samplers
 # ---------------------------------------------------------------------------
 
@@ -509,6 +706,18 @@ def test_scaled_beta_disturbance_mask():
     unmasked = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4)
     full = unmasked.sample(np.random.default_rng(5), 4)
     assert draw[0] == full[0] and draw[2] == full[2]
+
+
+def test_gaussian_disturbance_draw_equals_sample_gaussian():
+    spec = GaussianDisturbance((0.5, -1.0, 0.0, 2.0), (1e-4, 0.0, 5e-8, 3.0))
+    for seed in range(5):
+        draw = spec.sample(np.random.default_rng(seed), 4)
+        reference = sample_gaussian(spec.mean, spec.covariance_diagonal, np.random.default_rng(seed))
+        assert np.array_equal(draw, reference)
+    with pytest.raises(ValueError, match="finite"):
+        GaussianDisturbance((0.0, math.nan), (1.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        GaussianDisturbance((0.0, 0.0), (1.0, math.inf))
 
 
 def test_disturbance_dimension_checked():
