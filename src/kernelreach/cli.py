@@ -6,6 +6,7 @@ reports go to the terminal, never into data files.  Exit codes: 0 success,
 """
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -69,113 +70,108 @@ class RunConfig:
     system: SystemConfig
     sample_size: int
     master_seed: int
-    fit: FitConfig
-    grid: GridSpec  # may be None
+    fit: FitConfig = FitConfig()
+    grid: GridSpec = None
+
+    def __post_init__(self):
+        if self.sample_size < 1:
+            raise ValueError("sample_size must be at least 1")
 
 
-def _field(doc, key, path, where, required=True, default=None):
-    if key not in doc:
-        if required:
-            raise ConfigError(f"{path}: missing field {where}{key}")
-        return default
-    return doc[key]
+# What a config section builds, by its "kind" field.
+_SYSTEMS = {"cwh": CwhSystem, "tora": ToraSystem, "external": ExternalSource}
+_CONTROLLERS = {"builtin-feedback": SaturatedFeedback, "mlp": load_mlp_controller}
+_DISTURBANCES = {
+    "none": NoDisturbance,
+    "gaussian": GaussianDisturbance,
+    "scaled-beta": ScaledBetaDisturbance,
+}
+_INITIALS = {"point": PointInitial, "uniform-box": BoxInitial}
+
+# The JSON values a field of each annotation takes; a bool is never a number.
+_JSON_TYPES = {
+    float: ((int, float), "a number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    tuple: ((list,), "an array"),
+}
 
 
-def _parse_disturbance(doc, path):
-    if doc is None:
-        return NoDisturbance()
-    kind = _field(doc, "kind", path, "disturbance.")
-    if kind == "none":
-        return NoDisturbance()
-    if kind == "gaussian":
-        return GaussianDisturbance(
-            mean=_field(doc, "mean", path, "disturbance."),
-            covariance_diagonal=_field(doc, "covariance_diagonal", path, "disturbance."),
-        )
-    if kind == "scaled-beta":
-        return ScaledBetaDisturbance(
-            alpha=float(_field(doc, "alpha", path, "disturbance.")),
-            beta=float(_field(doc, "beta", path, "disturbance.")),
-            scale=float(_field(doc, "scale", path, "disturbance.")),
-            dims=int(_field(doc, "dims", path, "disturbance.", required=False, default=4)),
-            mask=_field(doc, "mask", path, "disturbance.", required=False),
-        )
-    raise ConfigError(f"{path}: unknown disturbance.kind {kind!r}")
+def _dotted(where, key):
+    return f"{where}.{key}" if where else key
 
 
-def _parse_initial(doc, path):
-    if doc is None:
-        return None
-    kind = _field(doc, "kind", path, "initial.")
-    if kind == "point":
-        return PointInitial(x=_field(doc, "x", path, "initial."))
-    if kind == "uniform-box":
-        return BoxInitial(
-            lo=_field(doc, "lo", path, "initial."),
-            hi=_field(doc, "hi", path, "initial."),
-        )
-    raise ConfigError(f"{path}: unknown initial.kind {kind!r}")
+def _object(doc, path, where):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: {where or 'config'} must be a JSON object")
+    return doc
 
 
-def _parse_controller(doc, path, base_dir):
-    if doc is None:
-        return SaturatedFeedback()
-    kind = _field(doc, "kind", path, "system.controller.")
-    if kind == "builtin-feedback":
-        return SaturatedFeedback(
-            k1=float(doc.get("k1", 1.0)),
-            k2=float(doc.get("k2", 1.0)),
-            saturation=float(doc.get("saturation", 1.0)),
-        )
-    if kind == "mlp":
-        weight_path = base_dir / _field(doc, "path", path, "system.controller.")
-        return load_mlp_controller(weight_path)
-    raise ConfigError(f"{path}: unknown system.controller.kind {kind!r}")
-
-
-def _parse_system(doc, path, base_dir):
-    kind = _field(doc, "kind", path, "system.")
-    if kind == "cwh":
-        return CwhSystem(
-            omega=float(doc.get("omega", 0.00113)),
-            mass=float(doc.get("mass", 300.0)),
-            dt=float(doc.get("dt", 20.0)),
-            input_sequence=doc.get("input_sequence"),
-        )
-    if kind == "tora":
-        return ToraSystem(
-            controller=_parse_controller(doc.get("controller"), path, base_dir),
-            control_period=float(doc.get("control_period", 0.1)),
-            integrator_substeps=int(doc.get("integrator_substeps", 10)),
-        )
-    if kind == "external":
-        return ExternalSource(path=str(base_dir / _field(doc, "path", path, "system.")))
-    raise ConfigError(f"{path}: unknown system.kind {kind!r}")
-
-
-def _parse_fit(doc, path):
-    doc = doc or {}
-    regularization = doc.get("lambda", RECIPROCAL_M)
-    if isinstance(regularization, str) and regularization != RECIPROCAL_M:
-        raise ConfigError(
-            f"{path}: fit.lambda must be a positive number or {RECIPROCAL_M!r}"
-        )
-    return FitConfig(
-        kernel=KernelSpec(doc.get("kernel_family", "abel"), float(doc.get("bandwidth", 0.1))),
-        regularization=regularization,
+def _split(doc, keys):
+    """The fields of a JSON object named in ``keys``, and the rest."""
+    return (
+        {key: value for key, value in doc.items() if key in keys},
+        {key: value for key, value in doc.items() if key not in keys},
     )
+
+
+def _typed(value, annotation, path, name):
+    """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are."""
+    if annotation in _JSON_TYPES:
+        types, noun = _JSON_TYPES[annotation]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{path}: field {name} must be {noun}, got {value!r}")
+    return value
+
+
+def _build(factory, doc, path, where, sections=None, names=None, **given):
+    """Call ``factory`` with the fields of the JSON object ``doc``, by name.
+
+    ``factory`` is a dataclass or a loader, or a table from the "kind" field
+    to one.  Each of its parameters not ``given`` is a JSON field, named as
+    in ``names`` where the two differ.  A field in ``sections`` is built by
+    that function from its JSON value and dotted name; every other field
+    must be JSON of its annotation's type.  Defaults and value checks are the
+    factory's own, and a JSON null means the default.  An unknown, missing or
+    mistyped field is a ConfigError that names the file and the dotted field.
+    """
+    doc = _object(doc, path, where)
+    if isinstance(factory, dict):
+        doc = dict(doc)
+        kind = doc.pop("kind", None)
+        if kind is None:
+            raise ConfigError(f"{path}: missing field {_dotted(where, 'kind')}")
+        if not isinstance(kind, str) or kind not in factory:
+            raise ConfigError(f"{path}: unknown {_dotted(where, 'kind')} {kind!r}")
+        factory = factory[kind]
+    names = names or {}
+    params = {
+        names.get(name, name): param
+        for name, param in inspect.signature(factory).parameters.items()
+        if name not in given
+    }
+    kwargs = dict(given)
+    for key, value in doc.items():
+        name = _dotted(where, key)
+        if key not in params:
+            raise ConfigError(f"{path}: unknown field {name}")
+        param = params[key]
+        if value is not None:
+            build = (sections or {}).get(param.name)
+            kwargs[param.name] = (
+                build(value, name) if build else _typed(value, param.annotation, path, name)
+            )
+    for key, param in params.items():
+        if param.default is param.empty and param.name not in kwargs:
+            raise ConfigError(f"{path}: missing field {_dotted(where, key)}")
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {where + ': ' if where else ''}{exc}") from exc
 
 
 def grid_from_dict(doc, path="grid"):
-    return GridSpec(
-        dim_i=int(_field(doc, "dim_i", path, "")),
-        dim_j=int(_field(doc, "dim_j", path, "")),
-        fixed=_field(doc, "fixed", path, ""),
-        range_i=_field(doc, "range_i", path, ""),
-        range_j=_field(doc, "range_j", path, ""),
-        resolution_i=int(doc.get("resolution_i", 100)),
-        resolution_j=int(doc.get("resolution_j", 100)),
-    )
+    return _build(GridSpec, doc, path, "")
 
 
 def _load_json(path):
@@ -189,32 +185,36 @@ def _load_json(path):
 
 
 def load_run_config(path) -> RunConfig:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+    """Build a run from a config file; its schema is the dataclasses' own fields.
+
+    Only two things are not: ``fit`` names its fields ``kernel_family``,
+    ``bandwidth`` and ``lambda``, and the ``path`` of an external source or
+    an MLP controller is relative to the config file.
+    """
+    doc = _object(_load_json(path), path, "")
     base_dir = Path(path).resolve().parent
-    try:
-        system = SystemConfig(
-            system=_parse_system(_field(doc, "system", path, ""), path, base_dir),
-            horizon=int(_field(doc, "horizon", path, "")),
-            disturbance=_parse_disturbance(doc.get("disturbance"), path),
-            initial=_parse_initial(doc.get("initial"), path),
-        )
-        sample_size = int(_field(doc, "sample_size", path, ""))
-        if sample_size < 1:
-            raise ConfigError(f"{path}: sample_size must be at least 1")
-        grid = doc.get("grid")
-        return RunConfig(
-            system=system,
-            sample_size=sample_size,
-            master_seed=int(_field(doc, "master_seed", path, "")),
-            fit=_parse_fit(doc.get("fit"), path),
-            grid=None if grid is None else grid_from_dict(grid, f"{path}: grid"),
-        )
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
+
+    def kind(table):
+        return lambda value, where: _build(table, value, path, where, sections)
+
+    def fit_config(value, where):
+        kernel, rest = _split(_object(value, path, where), ("kernel_family", "bandwidth"))
+        kernel = _build(KernelSpec, kernel, path, where, names={"family": "kernel_family"})
+        return _build(FitConfig, rest, path, where, names={"regularization": "lambda"},
+                      kernel=kernel)
+
+    sections = {
+        "system": kind(_SYSTEMS),
+        "controller": kind(_CONTROLLERS),
+        "disturbance": kind(_DISTURBANCES),
+        "initial": kind(_INITIALS),
+        "path": lambda value, where: str(base_dir / _typed(value, str, path, where)),
+        "fit": fit_config,
+        "grid": lambda value, where: _build(GridSpec, value, path, where),
+    }
+    system, run = _split(doc, inspect.signature(SystemConfig).parameters)
+    system = _build(SystemConfig, system, path, "", sections)
+    return _build(RunConfig, run, path, "", sections, system=system)
 
 
 def _parse_lambda_flag(text):

@@ -75,17 +75,20 @@ class FitConfig:
     kernel: KernelSpec = KernelSpec()
     regularization: object = RECIPROCAL_M
 
+    def __post_init__(self):
+        reg = self.regularization
+        if reg != RECIPROCAL_M and (
+            isinstance(reg, (str, bool)) or not (np.isfinite(float(reg)) and float(reg) > 0)
+        ):
+            raise ValueError(
+                f"regularization lambda must be a positive number or {RECIPROCAL_M!r}, "
+                f"got {reg!r}"
+            )
+
     def resolve_lambda(self, sample_size: int) -> float:
-        if isinstance(self.regularization, str):
-            if self.regularization != RECIPROCAL_M:
-                raise ValueError(
-                    f"regularization must be a positive number or {RECIPROCAL_M!r}"
-                )
+        if self.regularization == RECIPROCAL_M:
             return 1.0 / sample_size
-        lam = float(self.regularization)
-        if not (np.isfinite(lam) and lam > 0):
-            raise ValueError(f"explicit regularization must be positive, got {lam!r}")
-        return lam
+        return float(self.regularization)
 
 
 @dataclass(frozen=True)

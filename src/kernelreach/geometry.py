@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -335,18 +335,6 @@ def convergence_sweep(
 # ---------------------------------------------------------------------------
 
 
-def grid_to_dict(grid: GridSpec) -> dict:
-    return {
-        "dim_i": grid.dim_i,
-        "dim_j": grid.dim_j,
-        "fixed": list(grid.fixed),
-        "range_i": list(grid.range_i),
-        "range_j": list(grid.range_j),
-        "resolution_i": grid.resolution_i,
-        "resolution_j": grid.resolution_j,
-    }
-
-
 def write_contour_csv(contour: ContourSet, path) -> None:
     """Segments as CSV rows x1a,x2a,x1b,x2b."""
     with atomic_write(path, newline="") as fh:
@@ -356,7 +344,7 @@ def write_contour_csv(contour: ContourSet, path) -> None:
 
 
 def write_contour_sidecar(contour: ContourSet, grid: GridSpec, tau: float, path) -> None:
-    doc = {"level": float(contour.level), "tau": float(tau), "grid": grid_to_dict(grid)}
+    doc = {"level": float(contour.level), "tau": float(tau), "grid": asdict(grid)}
     with atomic_write(path) as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

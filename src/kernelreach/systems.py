@@ -595,7 +595,7 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
         _check_cwh_controls(inputs)
         x = x0
         for u in inputs:
-            x = _matvec(a, x) + b @ u + noise()
+            x = cwh_step(a, b, x, u, noise())
             yield x
     elif isinstance(system, ToraSystem):
         h = system.control_period / system.integrator_substeps

@@ -4,8 +4,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kernelreach import ModelFormatError, load_model, load_sample_csv
-from kernelreach.cli import main
+from kernelreach import (
+    BoxInitial,
+    CwhSystem,
+    FitConfig,
+    GridSpec,
+    ModelFormatError,
+    PointInitial,
+    SaturatedFeedback,
+    ScaledBetaDisturbance,
+    SystemConfig,
+    ToraSystem,
+    load_model,
+    load_sample_csv,
+)
+from kernelreach.cli import RunConfig, grid_from_dict, load_run_config, main
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -348,3 +361,120 @@ def test_mlp_controller_config(tmp_path):
     out = tmp_path / "samples.csv"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert load_sample_csv(out).size == 2
+
+
+_DELETE = object()
+
+_TORA_BOX = {"kind": "uniform-box", "lo": [0.6, -0.7, -0.4, 0.5], "hi": [0.7, -0.6, -0.3, 0.6]}
+
+
+def _tora_doc():
+    return {
+        "system": {"kind": "tora", "controller": {"kind": "builtin-feedback"}},
+        "horizon": 2,
+        "disturbance": {"kind": "scaled-beta", "alpha": 2.0, "beta": 0.5, "scale": 0.01},
+        "initial": dict(_TORA_BOX),
+        "sample_size": 2,
+        "master_seed": 0,
+    }
+
+
+@pytest.mark.parametrize("base, section, key, value, expected", [
+    # system
+    ("cwh", "system", "omgea", 1, "unknown field system.omgea"),
+    ("cwh", "system", "mass", "300", "field system.mass must be a number, got '300'"),
+    ("cwh", "system", "dt", True, "field system.dt must be a number"),
+    ("cwh", "system", "kind", _DELETE, "missing field system.kind"),
+    ("cwh", "system", "kind", "rocket", "unknown system.kind 'rocket'"),
+    ("tora", "system", "integrator_substeps", 10.0,
+     "field system.integrator_substeps must be an integer"),
+    # controller
+    ("tora", "system.controller", "k3", 1.0, "unknown field system.controller.k3"),
+    ("tora", "system.controller", "k1", "1.0", "field system.controller.k1 must be a number"),
+    ("tora", "system.controller", "saturation", False,
+     "field system.controller.saturation must be a number"),
+    ("tora", "system.controller", "kind", _DELETE, "missing field system.controller.kind"),
+    ("tora", "system.controller", "kind", "mlp", "missing field system.controller.path"),
+    # disturbance
+    ("tora", "disturbance", "sigma", 0.1, "unknown field disturbance.sigma"),
+    ("tora", "disturbance", "dims", 4.5, "field disturbance.dims must be an integer, got 4.5"),
+    ("tora", "disturbance", "alpha", "2", "field disturbance.alpha must be a number"),
+    ("tora", "disturbance", "kind", _DELETE, "missing field disturbance.kind"),
+    ("cwh", "disturbance", "mean", _DELETE, "missing field disturbance.mean"),
+    # initial
+    ("tora", "initial", "center", [0.0], "unknown field initial.center"),
+    ("tora", "initial", "lo", "0.6", "field initial.lo must be an array"),
+    ("tora", "initial", "hi", _DELETE, "missing field initial.hi"),
+    ("cwh", "initial", "x", "0", "field initial.x must be an array"),
+    # fit
+    ("cwh", "fit", "kernel", "gaussian", "unknown field fit.kernel"),
+    ("cwh", "fit", "bandwidth", "0.5", "field fit.bandwidth must be a number"),
+    ("cwh", "fit", "bandwidth", True, "field fit.bandwidth must be a number"),
+    ("cwh", "fit", "lambda", "half", "fit: regularization lambda must be a positive number"),
+    # grid
+    ("cwh", "grid", "resolution", 50, "unknown field grid.resolution"),
+    ("cwh", "grid", "resolution_i", 5.7, "field grid.resolution_i must be an integer, got 5.7"),
+    ("cwh", "grid", "dim_j", True, "field grid.dim_j must be an integer"),
+    ("cwh", "grid", "dim_i", _DELETE, "missing field grid.dim_i"),
+    # top level
+    ("cwh", "", "sample_sise", 3, "unknown field sample_sise"),
+    ("cwh", "", "horizon", 5.7, "field horizon must be an integer, got 5.7"),
+    ("cwh", "", "master_seed", "7", "field master_seed must be an integer"),
+    ("cwh", "", "sample_size", True, "field sample_size must be an integer"),
+    ("cwh", "", "sample_size", _DELETE, "missing field sample_size"),
+])
+def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
+    # one bad field in an otherwise valid config fails before anything is simulated
+    config = tmp_path / "run.json"
+    doc = _tora_doc() if base == "tora" else _write_cwh_config(config)
+    target = doc
+    for part in filter(None, section.split(".")):
+        target = target[part]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = value
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and expected in err
+    assert not out.exists()
+
+
+_CWH_POINT = {"kind": "point", "x": [-0.75, -0.75, 0.0, 0.0]}
+_GRID = {"dim_i": 0, "dim_j": 1, "fixed": [0.0, 0.0, 0.0, 0.0],
+         "range_i": [-1.0, 1.0], "range_j": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("doc, system", [
+    ({"system": {"kind": "cwh"}, "initial": _CWH_POINT},
+     SystemConfig(CwhSystem(), 5, initial=PointInitial(_CWH_POINT["x"]))),
+    ({"system": {"kind": "tora"}, "initial": _TORA_BOX},
+     SystemConfig(ToraSystem(), 5, initial=BoxInitial(_TORA_BOX["lo"], _TORA_BOX["hi"]))),
+    ({"system": {"kind": "tora", "controller": {"kind": "builtin-feedback"}},
+      "disturbance": {"kind": "scaled-beta"}, "initial": _TORA_BOX},
+     SystemConfig(ToraSystem(SaturatedFeedback()), 5, ScaledBetaDisturbance(),
+                  BoxInitial(_TORA_BOX["lo"], _TORA_BOX["hi"]))),
+])
+def test_minimal_config_takes_dataclass_defaults(tmp_path, doc, system):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**doc, "horizon": 5, "sample_size": 3, "master_seed": 0,
+                                  "grid": _GRID}))
+    assert load_run_config(config) == RunConfig(system, 3, 0, FitConfig(), GridSpec(**_GRID))
+
+
+def test_contour_sidecar_grid_reads_back(tmp_path):
+    samples = tmp_path / "one.csv"
+    samples.write_text("x1,x2\n0.0,0.0\n")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(model_path)]) == 0
+    doc = {"dim_i": 1, "dim_j": 0, "fixed": [0.25, -0.5], "range_i": [-1, 1],
+           "range_j": [-0.5, 0.75], "resolution_j": 7}
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(doc))
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 0
+    sidecar = json.loads(out.with_suffix(".json").read_text())
+    assert grid_from_dict(sidecar["grid"]) == grid_from_dict(doc) == GridSpec(**doc)
