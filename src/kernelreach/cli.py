@@ -8,6 +8,7 @@ reports go to the terminal, never into data files.  Exit codes: 0 success,
 import argparse
 import inspect
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -115,8 +116,26 @@ def _split(doc, keys):
     )
 
 
+def _finite(value, path, name):
+    """Reject a JSON number, alone or inside arrays, that is not a finite double."""
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _finite(item, path, f"{name}[{index}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an integer beyond the double range
+            finite = False
+        if not finite:
+            raise ConfigError(f"{path}: field {name} must be a finite double")
+
+
 def _typed(value, annotation, path, name):
-    """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are."""
+    """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are.
+
+    No JSON number in ``value`` may lie outside the finite doubles.
+    """
+    _finite(value, path, name)
     if annotation in _JSON_TYPES:
         types, noun = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):
@@ -323,6 +342,11 @@ def cmd_validate(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = load_run_config(args.config)
+    if config.fit.regularization != RECIPROCAL_M:
+        raise ConfigError(
+            f"{args.config}: sweep fits each sample size with lambda = 1/M, so fit.lambda "
+            f"must be {RECIPROCAL_M!r}, got {config.fit.regularization!r}"
+        )
     m_list = _parse_int_list(args.m_list, "--m-list")
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not m_list or not seeds:

@@ -17,14 +17,14 @@ numpy's SeedSequence spawn mechanism so runs reproduce themselves exactly
 regardless of evaluation order.
 
 One simulator serves single trajectories and sample sets: it steps a batch
-of states together, each sample drawing from its own Generator in step
-order, and every operation acts on each sample separately.  A batch is
-therefore bitwise equal to its samples stepped one at a time.
+of states together, each sample drawing a chunk of steps of disturbance per
+call from its own Generator in step order, and every operation acts on each
+sample separately.  A batch is therefore bitwise equal to its samples
+stepped one at a time.
 """
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +45,8 @@ DEFAULT_CWH_THRUST = 0.01
 # (about 0.9 kB) and its share of the step temporaries, so blocks bound the
 # sampler's memory at large M without slowing it.
 _SAMPLE_BLOCK = 4096
+# Control steps of disturbance a sample draws per call: 8 MB for a full block.
+_NOISE_STEPS = 64
 
 RELU = "relu"
 TANH = "tanh"
@@ -77,46 +79,21 @@ def child_seed(master_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def sample_gaussian(mean, covariance_diagonal, rng, size=None):
-    """Draw from a diagonal-covariance Gaussian: mean + sqrt(diag) * z.
-
-    With ``size`` given, returns a (size, dim) matrix of independent draws.
-    A zero variance entry reproduces the mean coordinate exactly.
-    """
-    mu = np.asarray(mean, dtype=float)
-    var = np.asarray(covariance_diagonal, dtype=float)
-    if mu.shape != var.shape or mu.ndim != 1:
-        raise ValueError("mean and covariance diagonal must be 1-d vectors of equal length")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(var))):
-        raise ValueError("Gaussian parameters must be finite")
-    if np.any(var < 0):
-        raise ValueError("covariance diagonal entries must be nonnegative")
-    shape = mu.size if size is None else (int(size), mu.size)
-    return mu + np.sqrt(var) * rng.standard_normal(shape)
-
-
-def sample_scaled_beta(alpha, beta, scale, rng, size=None):
-    """Draw scale * Beta(alpha, beta).
-
-    Realized as the ratio g1 / (g1 + g2) of two independent gamma variates
-    with shapes alpha and beta, which is exact for every shape parameter
-    (including beta < 1, where naive inversion schemes lose accuracy).
-    """
-    if not (alpha > 0 and beta > 0):
-        raise ValueError("beta shape parameters must be positive")
-    g1 = rng.gamma(alpha, size=size)
-    g2 = rng.gamma(beta, size=size)
-    return scale * g1 / (g1 + g2)
+# A disturbance's ``sample(rng, dim, steps)`` returns the (steps, dim) draws of
+# that many control steps and consumes the Generator as that many one-step calls
+# would: numpy draws normal and gamma variates element by element, row-major.
 
 
 @dataclass(frozen=True)
 class NoDisturbance:
-    def sample(self, rng, dim: int) -> np.ndarray:
-        return np.zeros(dim)
+    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
+        return np.zeros((steps, dim))
 
 
 @dataclass(frozen=True)
 class GaussianDisturbance:
+    """Diagonal-covariance Gaussian draws mean + sqrt(diag) * z; a zero variance is exact."""
+
     mean: tuple
     covariance_diagonal: tuple
     # read-only arrays built once, so a draw is one multiply-add
@@ -124,36 +101,37 @@ class GaussianDisturbance:
     _sd: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
-        object.__setattr__(
-            self, "covariance_diagonal", tuple(float(v) for v in self.covariance_diagonal)
-        )
-        if len(self.mean) != len(self.covariance_diagonal):
-            raise ValueError("mean and covariance diagonal must have equal length")
-        if not all(math.isfinite(v) for v in self.mean + self.covariance_diagonal):
+        mean = np.array(self.mean, dtype=float)
+        var = np.array(self.covariance_diagonal, dtype=float)
+        if mean.ndim != 1 or mean.shape != var.shape:
+            raise ValueError("mean and covariance diagonal must be 1-d vectors of equal length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
             raise ValueError("Gaussian parameters must be finite")
-        if any(v < 0 for v in self.covariance_diagonal):
+        if np.any(var < 0):
             raise ValueError("covariance diagonal entries must be nonnegative")
-        mean = np.array(self.mean)
-        sd = np.sqrt(np.array(self.covariance_diagonal))
+        object.__setattr__(self, "mean", tuple(mean.tolist()))
+        object.__setattr__(self, "covariance_diagonal", tuple(var.tolist()))
+        sd = np.sqrt(var)
         mean.flags.writeable = False
         sd.flags.writeable = False
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", sd)
 
-    def sample(self, rng, dim: int) -> np.ndarray:
+    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
         if dim != len(self.mean):
             raise ValueError(
                 f"disturbance dimension {len(self.mean)} does not match state dimension {dim}"
             )
-        # the formula of sample_gaussian, without its per-call argument checks
-        return self._mean + self._sd * rng.standard_normal(dim)
+        return self._mean + self._sd * rng.standard_normal((steps, dim))
 
 
 @dataclass(frozen=True)
 class ScaledBetaDisturbance:
     """Per-coordinate scale * Beta(alpha, beta) draws, optionally masked.
 
+    A draw is the ratio g1 / (g1 + g2) of two independent gamma variates
+    with shapes alpha and beta, which is exact for every shape parameter
+    (including beta < 1, where naive inversion schemes lose accuracy).
     ``mask`` selects which state coordinates receive the disturbance
     (default: all of them).  Masked-off coordinates still consume draws, so
     changing the mask never realigns the random stream.
@@ -176,15 +154,32 @@ class ScaledBetaDisturbance:
                 raise ValueError("mask length must equal dims")
             object.__setattr__(self, "mask", mask)
 
-    def sample(self, rng, dim: int) -> np.ndarray:
+    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
         if dim != self.dims:
             raise ValueError(
                 f"disturbance dimension {self.dims} does not match state dimension {dim}"
             )
-        draw = sample_scaled_beta(self.alpha, self.beta, self.scale, rng, size=self.dims)
+        # each step draws dim gamma(alpha) variates, then dim gamma(beta) ones
+        g = rng.gamma(np.tile(np.repeat([self.alpha, self.beta], dim), (steps, 1)))
+        g1, g2 = g[:, :dim], g[:, dim:]
+        draw = self.scale * g1 / (g1 + g2)
         if self.mask is not None:
-            draw = draw * np.asarray(self.mask, dtype=float)
+            draw = draw * np.array(self.mask, dtype=float)
         return draw
+
+
+def sample_gaussian(mean, covariance_diagonal, rng, size=None):
+    """One ``GaussianDisturbance`` draw (dim,), or a (size, dim) matrix of them."""
+    spec = GaussianDisturbance(mean, covariance_diagonal)
+    draws = spec.sample(rng, len(spec.mean), 1 if size is None else int(size))
+    return draws[0] if size is None else draws
+
+
+def sample_scaled_beta(alpha, beta, scale, rng, size=None):
+    """One scale * Beta(alpha, beta) draw, or a (size,) vector of them."""
+    dims = 1 if size is None else int(size)
+    draws = ScaledBetaDisturbance(alpha, beta, scale, dims).sample(rng, dims, 1)[0]
+    return draws[0] if size is None else draws
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +570,9 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
     """Step M samples together; yield the (M, 4) batch after each control step.
 
     Row i of ``x0`` is the initial state of sample i, and ``rngs[i]`` is its
-    Generator, drawn from once per step in step order.  Every operation acts
-    on each sample separately, so row i is bitwise equal to sample i stepped
-    on its own: the batch never couples samples.
+    Generator, drawn from in step order, ``_NOISE_STEPS`` steps per call.
+    Every operation acts on each sample separately, so row i is bitwise
+    equal to sample i stepped on its own: the batch never couples samples.
     """
     system = config.system
     horizon = config.horizon
@@ -587,27 +582,30 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
         raise ValueError("initial state has non-finite entries")
 
     def noise():
-        return np.array([config.disturbance.sample(rng, 4) for rng in rngs])
+        # the (M, 4) disturbance of each step; no draw runs past the horizon
+        for start in range(0, horizon, _NOISE_STEPS):
+            steps = min(_NOISE_STEPS, horizon - start)
+            yield from np.stack([config.disturbance.sample(r, 4, steps) for r in rngs], axis=1)
 
     if isinstance(system, CwhSystem):
         a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
         inputs = system.resolved_inputs(horizon)
         _check_cwh_controls(inputs)
         x = x0
-        for u in inputs:
-            x = cwh_step(a, b, x, u, noise())
+        for u, w in zip(inputs, noise()):
+            x = cwh_step(a, b, x, u, w)
             yield x
     elif isinstance(system, ToraSystem):
         h = system.control_period / system.integrator_substeps
         # state-major (4, M): each coordinate of the field is one array op
         x = x0.T
-        for _ in range(horizon):
+        for w in noise():
             # divergence is reported by rk4_step's finite check, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 u = _tora_controls(system.controller, x)
                 for _ in range(system.integrator_substeps):
                     x = rk4_step(_tora_field, x, u, h)
-            x = x + noise().T
+            x = x + w.T
             yield x.T
     else:
         raise ValueError("external sample sources cannot be simulated")
@@ -617,10 +615,10 @@ def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
     """Simulate one closed-loop trajectory; rows are states at steps 0..N.
 
     Deterministic in (config, x0, seed): the disturbance stream comes from
-    ``numpy.random.default_rng(seed)`` with exactly one draw per control
-    step.  The draw enters the CWH update additively inside the step; for
-    TORA it is added to the state after the control period is integrated.
-    This is the batch simulator of ``sample_terminal_states`` on a batch of one.
+    ``numpy.random.default_rng(seed)``, consumed in step order.  The draw
+    enters the CWH update additively inside the step; for TORA it is added
+    to the state after the control period is integrated.  This is the batch
+    simulator of ``sample_terminal_states`` on a batch of one.
     """
     x0 = np.asarray(x0, dtype=float)
     steps = _steps(config, x0[None], [np.random.default_rng(seed)])

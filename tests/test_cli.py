@@ -264,6 +264,20 @@ def test_sweep_rejects_bad_lists(tmp_path, capsys):
                  "--seeds", "0", "--out", str(tmp_path / "s.csv")]) == 2
 
 
+def test_sweep_rejects_a_lambda_it_would_ignore(tmp_path, capsys):
+    # sweep fits every sample size with 1/M, so any other fit.lambda is an error
+    config = tmp_path / "run.json"
+    doc = _write_cwh_config(config, horizon=2)
+    doc["fit"]["lambda"] = 0.5
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--m-list", "5",
+                 "--seeds", "0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {config}: " in err and "fit.lambda must be 'reciprocal-m'" in err
+    assert not out.exists()
+
+
 def test_load_model_corrupt_exit_code(tmp_path):
     bad = tmp_path / "model.json"
     bad.write_text("{broken")
@@ -365,6 +379,13 @@ def test_mlp_controller_config(tmp_path):
 
 _DELETE = object()
 
+
+class _Raw(str):
+    """A field value written into the JSON text as it is, e.g. ``1e400``."""
+
+
+_RAW_SLOT = "raw-json-value"
+
 _TORA_BOX = {"kind": "uniform-box", "lo": [0.6, -0.7, -0.4, 0.5], "hi": [0.7, -0.6, -0.3, 0.6]}
 
 
@@ -422,6 +443,19 @@ def _tora_doc():
     ("cwh", "", "master_seed", "7", "field master_seed must be an integer"),
     ("cwh", "", "sample_size", True, "field sample_size must be an integer"),
     ("cwh", "", "sample_size", _DELETE, "missing field sample_size"),
+    # numbers outside the finite doubles, alone or in arrays
+    ("cwh", "system", "mass", _Raw("1e400"), "field system.mass must be a finite double"),
+    ("cwh", "system", "mass", 10**400, "field system.mass must be a finite double"),
+    ("cwh", "system", "omega", _Raw("1e400"), "field system.omega must be a finite double"),
+    ("cwh", "system", "dt", _Raw("-Infinity"), "field system.dt must be a finite double"),
+    ("tora", "system.controller", "k1", _Raw("1e400"),
+     "field system.controller.k1 must be a finite double"),
+    ("tora", "initial", "hi", _Raw("[1e400, -0.6, -0.3, 0.6]"),
+     "field initial.hi[0] must be a finite double"),
+    ("cwh", "system", "input_sequence", _Raw("[[0.0, 0.0], [0.0, NaN]]"),
+     "field system.input_sequence[1][1] must be a finite double"),
+    ("cwh", "fit", "lambda", _Raw("1e400"), "field fit.lambda must be a finite double"),
+    ("cwh", "", "master_seed", 10**400, "field master_seed must be a finite double"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -433,8 +467,8 @@ def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value,
     if value is _DELETE:
         del target[key]
     else:
-        target[key] = value
-    config.write_text(json.dumps(doc))
+        target[key] = _RAW_SLOT if isinstance(value, _Raw) else value
+    config.write_text(json.dumps(doc).replace(f'"{_RAW_SLOT}"', str(value)))
     out = tmp_path / "samples.csv"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err

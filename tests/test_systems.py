@@ -448,6 +448,20 @@ def test_external_source_sampling(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _reference_draw(spec, rng):
+    """One step of disturbance from raw Generator calls, in the per-step formulas."""
+    if isinstance(spec, GaussianDisturbance):
+        mean, var = np.asarray(spec.mean), np.asarray(spec.covariance_diagonal)
+        return mean + np.sqrt(var) * rng.standard_normal(mean.size)
+    if isinstance(spec, ScaledBetaDisturbance):
+        g1 = rng.gamma(spec.alpha, size=spec.dims)
+        g2 = rng.gamma(spec.beta, size=spec.dims)
+        draw = spec.scale * g1 / (g1 + g2)
+        return draw if spec.mask is None else draw * np.asarray(spec.mask, dtype=float)
+    assert isinstance(spec, NoDisturbance)
+    return np.zeros(4)
+
+
 def _reference_terminal_states(config, count, master_seed):
     """The per-sample loop the batched simulator replaced, one 4-vector at a time."""
     system = config.system
@@ -457,10 +471,7 @@ def _reference_terminal_states(config, count, master_seed):
         x = np.asarray(config.initial.draw(rng), dtype=float)
 
         def disturbance():
-            spec = config.disturbance
-            if isinstance(spec, GaussianDisturbance):
-                return sample_gaussian(spec.mean, spec.covariance_diagonal, rng)
-            return spec.sample(rng, 4)
+            return _reference_draw(config.disturbance, rng)
 
         if isinstance(system, CwhSystem):
             a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
@@ -511,6 +522,13 @@ _ORACLE_CONFIGS = {
         horizon=8,
         disturbance=_GAUSS,
         inputs=np.random.default_rng(12).uniform(-0.1, 0.1, size=(8, 2)),
+    ),
+    # horizons that cross draw-chunk boundaries (64 steps a chunk)
+    "tora-feedback-beta-130": _tora_config(horizon=130, disturbance=_BETA),
+    "cwh-gaussian-70-inputs": _cwh_config(
+        horizon=70,
+        disturbance=_GAUSS,
+        inputs=np.random.default_rng(13).uniform(-0.1, 0.1, size=(70, 2)),
     ),
 }
 
@@ -620,10 +638,12 @@ def test_one_diverging_sample_fails_the_batch(name):
 class _CountingDisturbance:
     def __init__(self):
         self.draws = 0
+        self.steps = 0
 
-    def sample(self, rng, dim):
+    def sample(self, rng, dim, steps):
         self.draws += 1
-        return np.zeros(dim)
+        self.steps += steps
+        return np.zeros((steps, dim))
 
 
 @pytest.mark.parametrize("bad", [(0.0, 0.2), (-0.11, 0.0)])
@@ -637,6 +657,15 @@ def test_cwh_inputs_outside_box_rejected_before_any_step(bad):
     assert counter.draws == 0
     # entries beyond the horizon are never used, so they are not checked
     assert sample_terminal_states(_cwh_config(horizon=4, inputs=inputs), 2, master_seed=0).size == 2
+
+
+@pytest.mark.parametrize("config", [_cwh_config, _tora_config], ids=["cwh", "tora"])
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+def test_each_sample_draws_a_chunk_of_steps_per_call(config, horizon):
+    counter = _CountingDisturbance()
+    sample_terminal_states(config(horizon=horizon, disturbance=counter), 3, master_seed=0)
+    assert counter.draws == 3 * math.ceil(horizon / 64)
+    assert counter.steps == 3 * horizon
 
 
 # ---------------------------------------------------------------------------
@@ -699,19 +728,19 @@ def test_beta_rejects_bad_shapes():
 def test_scaled_beta_disturbance_mask():
     spec = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4, mask=(1, 0, 1, 0))
     rng = np.random.default_rng(5)
-    draw = spec.sample(rng, 4)
+    draw = spec.sample(rng, 4, 1)[0]
     assert draw[1] == 0.0 and draw[3] == 0.0
     assert draw[0] > 0.0 and draw[2] > 0.0
     # masked draws consume the same stream entries as unmasked ones
     unmasked = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4)
-    full = unmasked.sample(np.random.default_rng(5), 4)
+    full = unmasked.sample(np.random.default_rng(5), 4, 1)[0]
     assert draw[0] == full[0] and draw[2] == full[2]
 
 
 def test_gaussian_disturbance_draw_equals_sample_gaussian():
     spec = GaussianDisturbance((0.5, -1.0, 0.0, 2.0), (1e-4, 0.0, 5e-8, 3.0))
     for seed in range(5):
-        draw = spec.sample(np.random.default_rng(seed), 4)
+        draw = spec.sample(np.random.default_rng(seed), 4, 1)[0]
         reference = sample_gaussian(spec.mean, spec.covariance_diagonal, np.random.default_rng(seed))
         assert np.array_equal(draw, reference)
     with pytest.raises(ValueError, match="finite"):
@@ -723,7 +752,52 @@ def test_gaussian_disturbance_draw_equals_sample_gaussian():
 def test_disturbance_dimension_checked():
     spec = GaussianDisturbance((0.0, 0.0), (1.0, 1.0))
     with pytest.raises(ValueError):
-        spec.sample(np.random.default_rng(0), 4)
+        spec.sample(np.random.default_rng(0), 4, 1)
+
+
+_STREAM_SPECS = {
+    "none": NoDisturbance(),
+    "gaussian": _GAUSS,
+    "beta-2-0.5-masked": _BETA,
+    "beta-1-1": ScaledBetaDisturbance(alpha=1.0, beta=1.0, scale=1.0),
+    "beta-0.3-3": ScaledBetaDisturbance(alpha=0.3, beta=3.0, scale=0.5),
+    "beta-1-0.5": ScaledBetaDisturbance(alpha=1.0, beta=0.5, scale=-0.01),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 200])
+@pytest.mark.parametrize("name", sorted(_STREAM_SPECS))
+def test_chunked_draw_consumes_the_stream_as_single_steps(name, steps):
+    spec = _STREAM_SPECS[name]
+    for seed in range(3):
+        chunked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = spec.sample(chunked, 4, steps)
+        expected = np.array([_reference_draw(spec, single) for _ in range(steps)])
+        assert draws.shape == (steps, 4)
+        assert draws.tobytes() == expected.tobytes()
+        assert chunked.random() == single.random()
+
+
+def test_samplers_keep_their_formulas_and_checks():
+    mean, var = np.array([0.5, -1.0, 0.0]), np.array([1e-4, 0.0, 3.0])
+    for seed, size in enumerate((None, 1, 7)):
+        rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+        shape = 3 if size is None else (size, 3)
+        expected = mean + np.sqrt(var) * raw.standard_normal(shape)
+        assert sample_gaussian(mean, var, rng, size=size).tobytes() == expected.tobytes()
+        rng, raw = np.random.default_rng(seed), np.random.default_rng(seed)
+        g1, g2 = raw.gamma(0.3, size=size), raw.gamma(0.5, size=size)
+        expected = np.asarray(2.0 * g1 / (g1 + g2))
+        drawn = np.asarray(sample_scaled_beta(0.3, 0.5, 2.0, rng, size=size))
+        assert drawn.tobytes() == expected.tobytes()
+    rng = np.random.default_rng(0)
+    for bad_mean, bad_var in (([0.0, 0.0], [1.0]), ([[0.0]], [[1.0]]), (0.0, 1.0)):
+        with pytest.raises(ValueError, match="1-d vectors of equal length"):
+            sample_gaussian(bad_mean, bad_var, rng)
+    with pytest.raises(ValueError, match="finite"):
+        sample_gaussian([0.0], [math.inf], rng)
+    with pytest.raises(ValueError, match="positive"):
+        sample_scaled_beta(1.0, math.nan, 1.0, rng)
 
 
 # ---------------------------------------------------------------------------
