@@ -7,8 +7,6 @@ reports go to the terminal, never into data files.  Exit codes: 0 success,
 
 import argparse
 import inspect
-import json
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -20,7 +18,6 @@ from .atomic import atomic_write
 from .estimator import (
     RECIPROCAL_M,
     FitConfig,
-    ModelFormatError,
     classify_batch,
     decision_values,
     fit,
@@ -39,6 +36,7 @@ from .geometry import (
     write_sweep_csv,
 )
 from .kernels import KernelSpec
+from .schema import ConfigError, build, json_object, load_json, split_fields, typed
 from .systems import (
     BoxInitial,
     CwhSystem,
@@ -60,10 +58,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-class ConfigError(ValueError):
-    """Configuration problem, annotated with the offending file and field."""
 
 
 @dataclass
@@ -89,118 +83,9 @@ _DISTURBANCES = {
 }
 _INITIALS = {"point": PointInitial, "uniform-box": BoxInitial}
 
-# The JSON values a field of each annotation takes; a bool is never a number.
-_JSON_TYPES = {
-    float: ((int, float), "a number"),
-    int: ((int,), "an integer"),
-    str: ((str,), "a string"),
-    tuple: ((list,), "an array"),
-}
-
-
-def _dotted(where, key):
-    return f"{where}.{key}" if where else key
-
-
-def _object(doc, path, where):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: {where or 'config'} must be a JSON object")
-    return doc
-
-
-def _split(doc, keys):
-    """The fields of a JSON object named in ``keys``, and the rest."""
-    return (
-        {key: value for key, value in doc.items() if key in keys},
-        {key: value for key, value in doc.items() if key not in keys},
-    )
-
-
-def _finite(value, path, name):
-    """Reject a JSON number, alone or inside arrays, that is not a finite double."""
-    if isinstance(value, list):
-        for index, item in enumerate(value):
-            _finite(item, path, f"{name}[{index}]")
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the double range
-            finite = False
-        if not finite:
-            raise ConfigError(f"{path}: field {name} must be a finite double")
-
-
-def _typed(value, annotation, path, name):
-    """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are.
-
-    No JSON number in ``value`` may lie outside the finite doubles.
-    """
-    _finite(value, path, name)
-    if annotation in _JSON_TYPES:
-        types, noun = _JSON_TYPES[annotation]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ConfigError(f"{path}: field {name} must be {noun}, got {value!r}")
-    return value
-
-
-def _build(factory, doc, path, where, sections=None, names=None, **given):
-    """Call ``factory`` with the fields of the JSON object ``doc``, by name.
-
-    ``factory`` is a dataclass or a loader, or a table from the "kind" field
-    to one.  Each of its parameters not ``given`` is a JSON field, named as
-    in ``names`` where the two differ.  A field in ``sections`` is built by
-    that function from its JSON value and dotted name; every other field
-    must be JSON of its annotation's type.  Defaults and value checks are the
-    factory's own, and a JSON null means the default.  An unknown, missing or
-    mistyped field is a ConfigError that names the file and the dotted field.
-    """
-    doc = _object(doc, path, where)
-    if isinstance(factory, dict):
-        doc = dict(doc)
-        kind = doc.pop("kind", None)
-        if kind is None:
-            raise ConfigError(f"{path}: missing field {_dotted(where, 'kind')}")
-        if not isinstance(kind, str) or kind not in factory:
-            raise ConfigError(f"{path}: unknown {_dotted(where, 'kind')} {kind!r}")
-        factory = factory[kind]
-    names = names or {}
-    params = {
-        names.get(name, name): param
-        for name, param in inspect.signature(factory).parameters.items()
-        if name not in given
-    }
-    kwargs = dict(given)
-    for key, value in doc.items():
-        name = _dotted(where, key)
-        if key not in params:
-            raise ConfigError(f"{path}: unknown field {name}")
-        param = params[key]
-        if value is not None:
-            build = (sections or {}).get(param.name)
-            kwargs[param.name] = (
-                build(value, name) if build else _typed(value, param.annotation, path, name)
-            )
-    for key, param in params.items():
-        if param.default is param.empty and param.name not in kwargs:
-            raise ConfigError(f"{path}: missing field {_dotted(where, key)}")
-    try:
-        return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {where + ': ' if where else ''}{exc}") from exc
-
 
 def grid_from_dict(doc, path="grid"):
-    return _build(GridSpec, doc, path, "")
-
-
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+    return build(GridSpec, doc, path, "")
 
 
 def load_run_config(path) -> RunConfig:
@@ -210,30 +95,31 @@ def load_run_config(path) -> RunConfig:
     ``bandwidth`` and ``lambda``, and the ``path`` of an external source or
     an MLP controller is relative to the config file.
     """
-    doc = _object(_load_json(path), path, "")
+    doc = json_object(load_json(path), path, "")
     base_dir = Path(path).resolve().parent
 
     def kind(table):
-        return lambda value, where: _build(table, value, path, where, sections)
+        return lambda value, where: build(table, value, path, where, sections)
 
     def fit_config(value, where):
-        kernel, rest = _split(_object(value, path, where), ("kernel_family", "bandwidth"))
-        kernel = _build(KernelSpec, kernel, path, where, names={"family": "kernel_family"})
-        return _build(FitConfig, rest, path, where, names={"regularization": "lambda"},
-                      kernel=kernel)
+        fields = json_object(value, path, where)
+        kernel, rest = split_fields(fields, ("kernel_family", "bandwidth"))
+        kernel = build(KernelSpec, kernel, path, where, names={"family": "kernel_family"})
+        return build(FitConfig, rest, path, where, names={"regularization": "lambda"},
+                     kernel=kernel)
 
     sections = {
         "system": kind(_SYSTEMS),
         "controller": kind(_CONTROLLERS),
         "disturbance": kind(_DISTURBANCES),
         "initial": kind(_INITIALS),
-        "path": lambda value, where: str(base_dir / _typed(value, str, path, where)),
+        "path": lambda value, where: str(base_dir / typed(value, str, path, where)),
         "fit": fit_config,
-        "grid": lambda value, where: _build(GridSpec, value, path, where),
+        "grid": lambda value, where: build(GridSpec, value, path, where),
     }
-    system, run = _split(doc, inspect.signature(SystemConfig).parameters)
-    system = _build(SystemConfig, system, path, "", sections)
-    return _build(RunConfig, run, path, "", sections, system=system)
+    system, run = split_fields(doc, inspect.signature(SystemConfig).parameters)
+    system = build(SystemConfig, system, path, "", sections)
+    return build(RunConfig, run, path, "", sections, system=system)
 
 
 def _parse_lambda_flag(text):
@@ -307,7 +193,7 @@ def cmd_query(args) -> int:
 
 def cmd_contour(args) -> int:
     model = load_model(args.model)
-    grid = grid_from_dict(_load_json(args.grid), str(args.grid))
+    grid = grid_from_dict(load_json(args.grid), str(args.grid))
     if grid.dim != model.dim:
         raise ConfigError(
             f"{args.grid}: grid is {grid.dim}-dimensional, model expects {model.dim}"
@@ -413,7 +299,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ModelFormatError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

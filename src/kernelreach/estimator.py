@@ -16,6 +16,7 @@ from scipy.linalg import solve_triangular
 
 from .atomic import atomic_write
 from .kernels import KernelSpec, gram, kernel_matrix
+from .schema import ConfigError, build, json_object, load_json
 
 RECIPROCAL_M = "reciprocal-m"
 
@@ -34,8 +35,8 @@ _QUERY_BLOCK = 256
 _TAU_TOLERANCE = 1e-9
 
 
-class ModelFormatError(ValueError):
-    """Raised when a model file is corrupt, inconsistent, or from a newer format."""
+# What a corrupt, inconsistent or newer-format model file raises: the error of every input file.
+ModelFormatError = ConfigError
 
 
 @dataclass(frozen=True)
@@ -246,49 +247,33 @@ def save_model(model: SupportModel, path) -> None:
 
 
 def load_model(path) -> SupportModel:
-    """Load a model file, verify it, and rebuild the factorization."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ModelFormatError(f"corrupt model file {path}: not a JSON object")
-
-    version = doc.get("format_version")
+    """Load a model file, verify it, and rebuild the factorization; ``stored`` is its schema."""
+    doc = json_object(load_json(path), path, "")
+    version = doc.pop("format_version", None)
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(
             f"model file {path} has format version {version!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
-    required = ("kernel_family", "bandwidth", "lambda", "tau", "m", "n", "support", "checksum")
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ModelFormatError(f"corrupt model file {path}: missing fields {missing}")
 
-    try:
-        kernel = KernelSpec(doc["kernel_family"], doc["bandwidth"])
-        m = int(doc["m"])
-        n = int(doc["n"])
-        lam = float(doc["lambda"])
-        tau = float(doc["tau"])
-        support = np.asarray(doc["support"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"corrupt model file {path}: {exc}") from exc
-    if support.ndim != 1 or support.size != m * n or m < 1 or n < 1:
-        raise ModelFormatError(
-            f"corrupt model file {path}: support has {support.size} values, expected m*n = {m * n}"
-        )
-    support = support.reshape(m, n)
-    if _support_checksum(support) != doc["checksum"]:
-        raise ModelFormatError(f"model file {path} failed its support checksum")
-    if not (np.isfinite(lam) and lam > 0):
-        raise ModelFormatError(f"corrupt model file {path}: lambda must be positive")
+    def stored(kernel_family: str, bandwidth: float, lam: float, tau: float, m: int, n: int,
+               support: tuple, checksum: str):
+        config = FitConfig(KernelSpec(kernel_family, bandwidth), lam)
+        points = np.asarray(support, dtype=float)
+        if m < 1 or n < 1 or points.shape != (m * n,):
+            raise ValueError(f"field support holds {points.size} values, expected m*n = {m * n}")
+        points = points.reshape(m, n)
+        if _support_checksum(points) != checksum:
+            raise ValueError("field support fails its checksum")
+        return config, points, tau
 
+    config, support, tau = build(stored, doc, path, "", names={"lam": "lambda"})
+    # Outside build: a singular factorization is a numerical error, not a malformed file.
+    kernel, lam = config.kernel, config.resolve_lambda(support.shape[0])
     model = SupportModel(support, kernel, lam, *_factorize(kernel, support, lam))
     if not abs(tau - model.tau) <= _TAU_TOLERANCE:
         raise ModelFormatError(
-            f"corrupt model file {path}: stored tau {tau!r} does not match "
+            f"{path}: field tau {tau!r} does not match "
             f"the tau {model.tau!r} recomputed from its support"
         )
     return model

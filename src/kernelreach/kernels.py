@@ -31,7 +31,8 @@ class KernelSpec:
                 f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
             )
         bw = self.bandwidth
-        if not (isinstance(bw, (int, float)) and math.isfinite(bw) and bw > 0):
+        number = isinstance(bw, (int, float)) and not isinstance(bw, bool)
+        if not (number and math.isfinite(bw) and bw > 0):
             raise ValueError(f"bandwidth must be a positive finite number, got {bw!r}")
 
 

@@ -32,6 +32,7 @@ from scipy.special import expit
 
 from .atomic import atomic_write
 from .estimator import SampleSet
+from .schema import build, load_json, typed
 
 # Admissible thrust box for the CWH system: each input coordinate must lie
 # in [-CWH_INPUT_LIMIT, CWH_INPUT_LIMIT].
@@ -299,36 +300,6 @@ def _tora_controls(controller, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(u, -controller.saturation), controller.saturation)
 
 
-def mlp_controller_from_dict(doc: dict) -> MlpController:
-    """Build a controller from the JSON weight-file schema."""
-    try:
-        layers = []
-        for index, spec in enumerate(doc["layers"]):
-            rows = int(spec["rows"])
-            cols = int(spec["cols"])
-            flat = np.asarray(spec["weights"], dtype=float)
-            if flat.size != rows * cols:
-                raise ValueError(
-                    f"layer {index}: weights hold {flat.size} values, expected rows*cols = {rows * cols}"
-                )
-            layers.append(
-                MlpLayer(flat.reshape(rows, cols), np.asarray(spec["bias"], dtype=float), spec["activation"])
-            )
-        saturation = None
-        if doc.get("saturation") is not None:
-            saturation = (doc["saturation"]["lo"], doc["saturation"]["hi"])
-        declared = (int(doc["input_dim"]), int(doc["output_dim"]))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed controller weight file: {exc!r}") from exc
-    controller = MlpController(tuple(layers), saturation)
-    if (controller.input_dim, controller.output_dim) != declared:
-        raise ValueError(
-            "declared input_dim/output_dim do not match the layer shapes: "
-            f"{declared[0]}->{declared[1]} vs {controller.input_dim}->{controller.output_dim}"
-        )
-    return controller
-
-
 def mlp_controller_to_dict(controller: MlpController) -> dict:
     doc = {
         "input_dim": controller.input_dim,
@@ -352,8 +323,32 @@ def mlp_controller_to_dict(controller: MlpController) -> dict:
 
 
 def load_mlp_controller(path) -> MlpController:
-    with open(path, "r", encoding="utf-8") as fh:
-        return mlp_controller_from_dict(json.load(fh))
+    """Read a weight file: the document ``mlp_controller_to_dict`` writes."""
+
+    def layer(weights: tuple, rows: int, cols: int, bias: tuple, activation: str):
+        flat = np.asarray(weights, dtype=float)
+        if flat.shape != (rows * cols,):
+            raise ValueError(f"weights hold {flat.size} values, expected rows*cols {rows * cols}")
+        return MlpLayer(flat.reshape(rows, cols), bias, activation)
+
+    def layer_list(value, where):
+        specs = enumerate(typed(value, tuple, path, where))
+        return tuple(build(layer, spec, path, f"{where}[{i}]") for i, spec in specs)
+
+    def box(lo: tuple, hi: tuple):
+        return lo, hi
+
+    def controller(input_dim: int, output_dim: int, layers: tuple, saturation: tuple = None):
+        net = MlpController(layers, saturation)
+        if (net.input_dim, net.output_dim) != (input_dim, output_dim):
+            raise ValueError(
+                "declared input_dim/output_dim do not match the layer shapes: "
+                f"{input_dim}->{output_dim} vs {net.input_dim}->{net.output_dim}"
+            )
+        return net
+
+    sections = {"layers": layer_list, "saturation": lambda v, w: build(box, v, path, w)}
+    return build(controller, load_json(path), path, "", sections)
 
 
 def save_mlp_controller(controller: MlpController, path) -> None:
@@ -415,8 +410,12 @@ class ToraSystem:
             raise ValueError("control_period must be positive")
         if self.integrator_substeps < 1:
             raise ValueError("integrator_substeps must be at least 1")
-        if isinstance(self.controller, MlpController) and self.controller.output_dim != 1:
-            raise ValueError("TORA controller must produce a scalar control")
+        net = self.controller
+        if isinstance(net, MlpController) and (net.input_dim, net.output_dim) != (4, 1):
+            raise ValueError(
+                "TORA controller must map the 4-d state to a scalar control, got "
+                f"{net.input_dim} inputs and {net.output_dim} outputs"
+            )
 
 
 @dataclass(frozen=True)

@@ -350,9 +350,8 @@ def test_module_entry_point(tmp_path):
     assert load_sample_csv(out).size == 3
 
 
-def test_mlp_controller_config(tmp_path):
-    weights = tmp_path / "net.json"
-    weights.write_text(json.dumps({
+def _mlp_weights_doc():
+    return {
         "input_dim": 4,
         "output_dim": 1,
         "layers": [{
@@ -363,15 +362,24 @@ def test_mlp_controller_config(tmp_path):
             "activation": "linear",
         }],
         "saturation": {"lo": [-1.0], "hi": [1.0]},
-    }))
-    config = tmp_path / "tora_mlp.json"
-    config.write_text(json.dumps({
+    }
+
+
+def _mlp_config_doc():
+    return {
         "system": {"kind": "tora", "controller": {"kind": "mlp", "path": "net.json"}},
         "horizon": 3,
         "initial": {"kind": "point", "x": [0.65, -0.65, -0.35, 0.55]},
         "sample_size": 2,
         "master_seed": 0,
-    }))
+    }
+
+
+def test_mlp_controller_config(tmp_path):
+    weights = tmp_path / "net.json"
+    weights.write_text(json.dumps(_mlp_weights_doc()))
+    config = tmp_path / "tora_mlp.json"
+    config.write_text(json.dumps(_mlp_config_doc()))
     out = tmp_path / "samples.csv"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
     assert load_sample_csv(out).size == 2
@@ -385,6 +393,19 @@ class _Raw(str):
 
 
 _RAW_SLOT = "raw-json-value"
+
+
+def _write_edited(path, doc, section, key, value):
+    """Write ``doc`` to ``path`` with field ``key`` of the dotted ``section`` set or deleted."""
+    target = doc
+    for part in filter(None, section.split(".")):
+        target = target[int(part) if part.isdigit() else part]
+    if value is _DELETE:
+        del target[key]
+    else:
+        target[key] = _RAW_SLOT if isinstance(value, _Raw) else value
+    path.write_text(json.dumps(doc).replace(f'"{_RAW_SLOT}"', str(value)))
+
 
 _TORA_BOX = {"kind": "uniform-box", "lo": [0.6, -0.7, -0.4, 0.5], "hi": [0.7, -0.6, -0.3, 0.6]}
 
@@ -456,23 +477,94 @@ def _tora_doc():
      "field system.input_sequence[1][1] must be a finite double"),
     ("cwh", "fit", "lambda", _Raw("1e400"), "field fit.lambda must be a finite double"),
     ("cwh", "", "master_seed", 10**400, "field master_seed must be a finite double"),
+    # strings inside arrays
+    ("cwh", "initial", "x", ["0.5", 0, 0, 0], "field initial.x[0] must be a number, got '0.5'"),
+    ("cwh", "grid", "fixed", [0.0, "0", 0.0, 0.0], "field grid.fixed[1] must be a number"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
     config = tmp_path / "run.json"
     doc = _tora_doc() if base == "tora" else _write_cwh_config(config)
-    target = doc
-    for part in filter(None, section.split(".")):
-        target = target[part]
-    if value is _DELETE:
-        del target[key]
-    else:
-        target[key] = _RAW_SLOT if isinstance(value, _Raw) else value
-    config.write_text(json.dumps(doc).replace(f'"{_RAW_SLOT}"', str(value)))
+    _write_edited(config, doc, section, key, value)
     out = tmp_path / "samples.csv"
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"error: {config}: " in err and expected in err
+    assert not out.exists()
+
+
+_POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("m", _Raw("1e400"), "field m must be a finite double"),
+    ("m", "5", "field m must be an integer, got '5'"),
+    ("m", 5.0, "field m must be an integer, got 5.0"),
+    ("lambda", "0.2", "field lambda must be a number, got '0.2'"),
+    ("bandwidth", True, "field bandwidth must be a number, got True"),
+    ("sigma", 0.1, "unknown field sigma"),
+    ("support", _Raw("[1e400, 0.0, 0.05, 0.02, -0.03, 0.04]"),
+     "field support[0] must be a finite double"),
+    ("support", ["0.0", 0.0, 0.05, 0.02, -0.03, 0.04],
+     "field support[0] must be a number, got '0.0'"),
+    ("checksum", _DELETE, "missing field checksum"),
+])
+def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
+    # one bad field in a model file fails the query before anything is written
+    points = tmp_path / "points.csv"
+    points.write_text(_POINTS)
+    model = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(points), "--out", str(model)]) == 0
+    _write_edited(model, json.loads(model.read_text()), "", key, value)
+    capsys.readouterr()
+    out = tmp_path / "q.csv"
+    assert main(["query", "--model", str(model), "--points", str(points), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {model}: " in err and expected in err
+    assert not out.exists()
+
+
+def test_query_singular_model_exits_4(tmp_path, capsys):
+    # a well-formed model file whose matrix cannot be factored is a numerical error
+    import hashlib
+
+    points = tmp_path / "points.csv"
+    points.write_text(_POINTS)
+    model = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(points), "--out", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    support = np.zeros((doc["m"], doc["n"]))  # coincident points: a singular Gram matrix
+    doc["support"] = support.ravel().tolist()
+    doc["checksum"] = hashlib.sha256(support.tobytes()).hexdigest()
+    doc["lambda"] = 1e-300  # too small to lift the zero pivot
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "q.csv"
+    assert main(["query", "--model", str(model), "--points", str(points), "--out", str(out)]) == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, value, expected", [
+    ("layers.0", "weights", [0.0, 0.0, -1.0, -(10**400)],
+     "field layers[0].weights[3] must be a finite double"),
+    ("layers.0", "rows", 1.9, "field layers[0].rows must be an integer, got 1.9"),
+    ("layers.0", "rows", "1", "field layers[0].rows must be an integer, got '1'"),
+    ("", "biases", [0.0], "unknown field biases"),
+    ("saturation", "hi", _DELETE, "missing field saturation.hi"),
+    ("layers.0", "weights", ["0.0", 0.0, -1.0, -1.0],
+     "field layers[0].weights[0] must be a number, got '0.0'"),
+])
+def test_weight_file_field_errors_exit_2(tmp_path, capsys, section, key, value, expected):
+    # one bad field in an MLP weight file fails the run before anything is simulated
+    weights = tmp_path / "net.json"
+    _write_edited(weights, _mlp_weights_doc(), section, key, value)
+    config = tmp_path / "tora_mlp.json"
+    config.write_text(json.dumps(_mlp_config_doc()))
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{weights}: " in err and expected in err
     assert not out.exists()
 
 

@@ -16,6 +16,8 @@ def test_spec_rejects_bad_bandwidth():
         KernelSpec("abel", -1.0)
     with pytest.raises(ValueError):
         KernelSpec("abel", float("nan"))
+    with pytest.raises(ValueError):
+        KernelSpec("abel", True)
 
 
 def test_spec_rejects_unknown_family():

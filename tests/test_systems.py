@@ -121,10 +121,11 @@ def test_mlp_reports_nonfinite_layer():
 
 def test_mlp_loader_reports_malformed_file(tmp_path):
     import json
+    import re
 
     path = tmp_path / "weights.json"
     path.write_text(json.dumps({"input_dim": 2}))
-    with pytest.raises(ValueError, match="malformed"):
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: missing field output_dim"):
         load_mlp_controller(path)
     path.write_text(json.dumps({
         "input_dim": 3, "output_dim": 1,
@@ -355,6 +356,14 @@ def test_tora_mlp_matches_builtin_feedback():
     base = simulate_trajectory(_tora_config(horizon=20), x0, seed=3)
     via_net = simulate_trajectory(_tora_config(horizon=20, controller=net), x0, seed=3)
     assert np.allclose(base, via_net, atol=1e-14)
+
+
+def test_tora_checks_the_controller_width():
+    # a network that does not map the 4-d state to one control fails when the system is built
+    for weights in (np.ones((1, 1)), np.ones((2, 4))):
+        net = MlpController((MlpLayer(weights, np.zeros(weights.shape[0]), "linear"),))
+        with pytest.raises(ValueError, match="4-d state to a scalar control"):
+            ToraSystem(controller=net)
 
 
 def test_tora_builtin_feedback_envelope():
