@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """TORA benchmark under the built-in feedback, with and without disturbance.
 
-Simulates M = 50 closed-loop trajectories over N = 200 control steps from
-the benchmark initial box, fits the support classifier on the terminal
-states, and extracts the (x1, x2) cross-section boundary.  The second pass
+Runs configs/tora.json and configs/tora_beta.json: M = 50 closed-loop
+trajectories over N = 200 control steps from the benchmark initial box,
+fits the support classifier on the terminal states, and extracts the
+(x1, x2) cross-section boundary on each config's grid.  The second pass
 adds the 0.01 Beta(2, 0.5) per-coordinate disturbance, which visibly
 inflates the estimated set.
 
@@ -17,14 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from kernelreach import (
-    BoxInitial,
-    FitConfig,
-    GridSpec,
-    KernelSpec,
-    NoDisturbance,
-    ScaledBetaDisturbance,
-    SystemConfig,
-    ToraSystem,
     extract_contour,
     fit,
     grid_decision_values,
@@ -33,30 +26,20 @@ from kernelreach import (
     save_sample_csv,
     write_contour_csv,
 )
+from kernelreach.cli import load_run_config
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def run_case(name, disturbance, outdir):
-    config = SystemConfig(
-        system=ToraSystem(),
-        horizon=200,
-        disturbance=disturbance,
-        initial=BoxInitial((0.6, -0.7, -0.4, 0.5), (0.7, -0.6, -0.3, 0.6)),
-    )
+def run_case(name, config, outdir):
+    run = load_run_config(CONFIGS / config)
     start = time.perf_counter()
-    train = sample_terminal_states(config, 50, master_seed=2106)
-    model = fit(train, FitConfig(KernelSpec("abel", 0.1)))
+    train = sample_terminal_states(run.system, run.sample_size, run.master_seed)
+    model = fit(train, run.fit)
     elapsed = time.perf_counter() - start
 
-    center = train.points.mean(axis=0)
-    grid = GridSpec(
-        dim_i=0, dim_j=1,
-        fixed=tuple(center),
-        range_i=(center[0] - 0.2, center[0] + 0.2),
-        range_j=(center[1] - 0.2, center[1] + 0.2),
-        resolution_i=100, resolution_j=100,
-    )
-    values = grid_decision_values(model, grid)
-    contour = extract_contour(values, grid, 1.0 - model.tau)
+    values = grid_decision_values(model, run.grid)
+    contour = extract_contour(values, run.grid, 1.0 - model.tau)
     total = time.perf_counter() - start
 
     save_sample_csv(train, outdir / f"{name}_terminal_states.csv")
@@ -72,8 +55,8 @@ def run_case(name, disturbance, outdir):
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("out/tora")
     outdir.mkdir(parents=True, exist_ok=True)
-    run_case("noiseless", NoDisturbance(), outdir)
-    run_case("beta_disturbed", ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4), outdir)
+    run_case("noiseless", "tora.json", outdir)
+    run_case("beta_disturbed", "tora_beta.json", outdir)
     print(f"outputs in {outdir}/")
 
 

@@ -40,7 +40,6 @@ from .schema import ConfigError, build, json_object, load_json, split_fields, ty
 from .systems import (
     BoxInitial,
     CwhSystem,
-    ExternalSource,
     GaussianDisturbance,
     NoDisturbance,
     PointInitial,
@@ -74,7 +73,7 @@ class RunConfig:
 
 
 # What a config section builds, by its "kind" field.
-_SYSTEMS = {"cwh": CwhSystem, "tora": ToraSystem, "external": ExternalSource}
+_SYSTEMS = {"cwh": CwhSystem, "tora": ToraSystem}
 _CONTROLLERS = {"builtin-feedback": SaturatedFeedback, "mlp": load_mlp_controller}
 _DISTURBANCES = {
     "none": NoDisturbance,
@@ -92,8 +91,8 @@ def load_run_config(path) -> RunConfig:
     """Build a run from a config file; its schema is the dataclasses' own fields.
 
     Only two things are not: ``fit`` names its fields ``kernel_family``,
-    ``bandwidth`` and ``lambda``, and the ``path`` of an external source or
-    an MLP controller is relative to the config file.
+    ``bandwidth`` and ``lambda``, and the ``path`` of an MLP controller is
+    relative to the config file.
     """
     doc = json_object(load_json(path), path, "")
     base_dir = Path(path).resolve().parent

@@ -16,7 +16,7 @@ from scipy.linalg import solve_triangular
 
 from .atomic import atomic_write
 from .kernels import KernelSpec, gram, kernel_matrix
-from .schema import ConfigError, build, json_object, load_json
+from .schema import ConfigError, build, finite, json_object, load_json
 
 RECIPROCAL_M = "reciprocal-m"
 
@@ -79,7 +79,7 @@ class FitConfig:
     def __post_init__(self):
         reg = self.regularization
         if reg != RECIPROCAL_M and (
-            isinstance(reg, (str, bool)) or not (np.isfinite(float(reg)) and float(reg) > 0)
+            isinstance(reg, (str, bool)) or not (finite(reg) and reg > 0)
         ):
             raise ValueError(
                 f"regularization lambda must be a positive number or {RECIPROCAL_M!r}, "

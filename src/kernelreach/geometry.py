@@ -1,6 +1,5 @@
 """Validation geometry: grid evaluation, contours, Hausdorff distances, sweeps."""
 
-import csv
 import json
 from dataclasses import asdict, dataclass
 
@@ -17,6 +16,7 @@ from .estimator import (
     fit,
 )
 from .kernels import KernelSpec, _distances, kernel_value_at_distance
+from .schema import finite
 from .systems import SystemConfig, child_seed, sample_terminal_states
 
 # Stream index used to draw the fresh reference sample in sweeps; chosen far
@@ -43,6 +43,8 @@ class GridSpec:
     resolution_j: int = 100
 
     def __post_init__(self):
+        if not all(finite(v) for v in (*self.fixed, *self.range_i, *self.range_j)):
+            raise ValueError("grid values must be finite")
         fixed = tuple(float(v) for v in self.fixed)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "range_i", (float(self.range_i[0]), float(self.range_i[1])))
@@ -56,8 +58,6 @@ class GridSpec:
             raise ValueError("grid resolutions must be at least 2")
         if not (self.range_i[0] < self.range_i[1] and self.range_j[0] < self.range_j[1]):
             raise ValueError("grid ranges must be nondegenerate")
-        if not all(np.isfinite(v) for v in fixed + self.range_i + self.range_j):
-            raise ValueError("grid values must be finite")
 
     @property
     def dim(self) -> int:
@@ -352,15 +352,7 @@ def write_contour_sidecar(contour: ContourSet, grid: GridSpec, tau: float, path)
 
 def write_sweep_csv(rows, path) -> None:
     with atomic_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "seed", "tau", "sym_diff_area", "hausdorff_to_reference"])
+        fh.write("m,seed,tau,sym_diff_area,hausdorff_to_reference\n")
         for row in rows:
-            writer.writerow(
-                [
-                    row.m,
-                    row.seed,
-                    repr(row.tau),
-                    "" if row.sym_diff_area is None else repr(row.sym_diff_area),
-                    repr(row.hausdorff_to_reference),
-                ]
-            )
+            area = "" if row.sym_diff_area is None else repr(row.sym_diff_area)
+            fh.write(f"{row.m},{row.seed},{row.tau!r},{area},{row.hausdorff_to_reference!r}\n")

@@ -1,9 +1,10 @@
 """Kernel evaluation, the kernel-induced metric, and Gram matrices."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .schema import finite
 
 ABEL = "abel"
 GAUSSIAN = "gaussian"
@@ -32,7 +33,7 @@ class KernelSpec:
             )
         bw = self.bandwidth
         number = isinstance(bw, (int, float)) and not isinstance(bw, bool)
-        if not (number and math.isfinite(bw) and bw > 0):
+        if not (number and finite(bw) and bw > 0):
             raise ValueError(f"bandwidth must be a positive finite number, got {bw!r}")
 
 

@@ -20,6 +20,7 @@ _JSON_TYPES = {
     int: ((int,), "an integer"),
     str: ((str,), "a string"),
     tuple: ((list,), "an array"),
+    tuple[bool, ...]: ((list,), "an array"),
 }
 
 
@@ -41,31 +42,37 @@ def split_fields(doc, keys):
     )
 
 
-def _finite(value, path, name):
+def finite(number) -> bool:
+    """Whether ``number`` is a finite double; an integer beyond the double range is not."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
+def _finite(value, path, name, flags):
     """Reject a JSON number, alone or inside arrays, that is not a finite double.
 
-    No array in any input file holds strings, so a string inside one is an error too.
+    Arrays in input files hold numbers, so a string inside one is an error
+    too, and so is a bool unless the array holds ``flags``.
     """
     if isinstance(value, list):
         for index, item in enumerate(value):
-            if isinstance(item, str):
+            if isinstance(item, str) or (isinstance(item, bool) and not flags):
                 raise ConfigError(f"{path}: field {name}[{index}] must be a number, got {item!r}")
-            _finite(item, path, f"{name}[{index}]")
+            _finite(item, path, f"{name}[{index}]", flags)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an integer beyond the double range
-            finite = False
-        if not finite:
+        if not finite(value):
             raise ConfigError(f"{path}: field {name} must be a finite double")
 
 
 def typed(value, annotation, path, name):
     """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are.
 
-    No JSON number in ``value`` may lie outside the finite doubles.
+    No JSON number in ``value`` may lie outside the finite doubles, and only
+    a ``tuple[bool, ...]`` field takes bools inside its array.
     """
-    _finite(value, path, name)
+    _finite(value, path, name, flags=annotation == tuple[bool, ...])
     if annotation in _JSON_TYPES:
         types, noun = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):

@@ -1,8 +1,6 @@
 """Built-in stochastic systems, controllers, and seeded terminal-state sampling.
 
-Two simulatable benchmark systems are provided, and a third "external"
-source that reads terminal states from a CSV file for systems simulated
-elsewhere:
+Two simulatable benchmark systems are provided:
 
 * CWH: linearized in-plane spacecraft relative motion, state
   (x, y, xdot, ydot), driven by an open-loop thrust sequence and advanced
@@ -142,7 +140,7 @@ class ScaledBetaDisturbance:
     beta: float = 0.5
     scale: float = 0.01
     dims: int = 4
-    mask: tuple = None
+    mask: tuple[bool, ...] = None
 
     def __post_init__(self):
         if not (self.alpha > 0 and self.beta > 0):
@@ -419,13 +417,6 @@ class ToraSystem:
 
 
 @dataclass(frozen=True)
-class ExternalSource:
-    """Terminal states supplied in a CSV sample file instead of simulation."""
-
-    path: str
-
-
-@dataclass(frozen=True)
 class PointInitial:
     x: tuple
 
@@ -460,13 +451,11 @@ class SystemConfig:
     system: object
     horizon: int
     disturbance: object = NoDisturbance()
-    initial: object = None
+    initial: object = field(kw_only=True)  # required; keyword-only as it follows a default
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.initial is None and not isinstance(self.system, ExternalSource):
-            raise ValueError("simulatable systems need an initial condition")
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +596,9 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
             x = x + w.T
             yield x.T
     else:
-        raise ValueError("external sample sources cannot be simulated")
+        raise ValueError(
+            f"cannot simulate a {type(system).__name__}; expected a CwhSystem or ToraSystem"
+        )
 
 
 def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
@@ -632,19 +623,9 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
     before the trajectory, so results do not depend on evaluation order.
     The samples are stepped together, in blocks of up to 4096, and each
     terminal state is bitwise equal to simulating that sample on its own.
-    For an external source the first ``count`` file rows are returned.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    system = config.system
-    if isinstance(system, ExternalSource):
-        samples = load_sample_csv(system.path)
-        if samples.size < count:
-            raise ValueError(
-                f"sample file {system.path} holds {samples.size} rows, need {count}"
-            )
-        return SampleSet(samples.points[:count], provenance=f"external:{system.path}")
-
     blocks = []
     for start in range(0, count, _SAMPLE_BLOCK):
         stop = min(count, start + _SAMPLE_BLOCK)
@@ -653,7 +634,7 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
         for x in _steps(config, x, rngs):
             pass  # keep only the state after the last step
         blocks.append(x)
-    name = type(system).__name__
+    name = type(config.system).__name__
     return SampleSet(
         np.concatenate(blocks),
         provenance=f"{name} N={config.horizon} M={count} seed={master_seed}",

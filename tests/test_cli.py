@@ -255,6 +255,7 @@ def test_sweep_writes_table(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "m,seed,tau,sym_diff_area,hausdorff_to_reference"
     assert len(lines) == 5
+    assert b"\r" not in out.read_bytes()
 
 
 def test_sweep_rejects_bad_lists(tmp_path, capsys):
@@ -314,24 +315,6 @@ def test_checked_in_configs_parse(tmp_path):
         out = tmp_path / f"{name}.csv"
         assert main(["simulate", "--config", str(small), "--out", str(out)]) == 0
         assert load_sample_csv(out).size == 3
-
-
-def test_external_source_config(tmp_path):
-    inner = tmp_path / "terminal.csv"
-    rows = ["x1,x2"] + [f"{0.1 * i!r},{0.2 * i!r}" for i in range(8)]
-    inner.write_text("\n".join(rows) + "\n")
-    config = tmp_path / "ext.json"
-    config.write_text(json.dumps({
-        "system": {"kind": "external", "path": "terminal.csv"},
-        "horizon": 1,
-        "sample_size": 5,
-        "master_seed": 0,
-    }))
-    out = tmp_path / "picked.csv"
-    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-    picked = load_sample_csv(out)
-    assert picked.size == 5
-    assert np.array_equal(picked.points, load_sample_csv(inner).points[:5])
 
 
 def test_module_entry_point(tmp_path):
@@ -480,6 +463,16 @@ def _tora_doc():
     # strings inside arrays
     ("cwh", "initial", "x", ["0.5", 0, 0, 0], "field initial.x[0] must be a number, got '0.5'"),
     ("cwh", "grid", "fixed", [0.0, "0", 0.0, 0.0], "field grid.fixed[1] must be a number"),
+    # a run always simulates a CWH or TORA system from an initial condition
+    ("cwh", "system", "kind", "external", "unknown system.kind 'external'"),
+    ("cwh", "", "initial", _DELETE, "missing field initial"),
+    # bools inside numeric arrays
+    ("cwh", "initial", "x", [True, -0.65, -0.35, 0.55],
+     "field initial.x[0] must be a number, got True"),
+    ("cwh", "grid", "fixed", [-0.585, -0.595, False, 0.003],
+     "field grid.fixed[2] must be a number, got False"),
+    ("cwh", "system", "input_sequence", [[0.0, 0.0], [0.0, True]],
+     "field system.input_sequence[1][1] must be a number, got True"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -508,6 +501,8 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     ("support", ["0.0", 0.0, 0.05, 0.02, -0.03, 0.04],
      "field support[0] must be a number, got '0.0'"),
     ("checksum", _DELETE, "missing field checksum"),
+    ("support", [True, 0.0, 0.05, 0.02, -0.03, 0.04],
+     "field support[0] must be a number, got True"),
 ])
 def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
     # one bad field in a model file fails the query before anything is written
@@ -581,7 +576,12 @@ _GRID = {"dim_i": 0, "dim_j": 1, "fixed": [0.0, 0.0, 0.0, 0.0],
     ({"system": {"kind": "tora", "controller": {"kind": "builtin-feedback"}},
       "disturbance": {"kind": "scaled-beta"}, "initial": _TORA_BOX},
      SystemConfig(ToraSystem(SaturatedFeedback()), 5, ScaledBetaDisturbance(),
-                  BoxInitial(_TORA_BOX["lo"], _TORA_BOX["hi"]))),
+                  initial=BoxInitial(_TORA_BOX["lo"], _TORA_BOX["hi"]))),
+    # the disturbance mask is the one array that takes bools
+    ({"system": {"kind": "tora"}, "initial": _TORA_BOX,
+      "disturbance": {"kind": "scaled-beta", "mask": [True, False, True, True]}},
+     SystemConfig(ToraSystem(), 5, ScaledBetaDisturbance(mask=(True, False, True, True)),
+                  initial=BoxInitial(_TORA_BOX["lo"], _TORA_BOX["hi"]))),
 ])
 def test_minimal_config_takes_dataclass_defaults(tmp_path, doc, system):
     config = tmp_path / "run.json"

@@ -55,6 +55,8 @@ def test_lambda_rules():
         FitConfig(regularization=0.0).resolve_lambda(10)
     with pytest.raises(ValueError):
         FitConfig(regularization="half").resolve_lambda(10)
+    with pytest.raises(ValueError):
+        FitConfig(regularization=10**400)
 
 
 def test_fit_single_point_closed_form():

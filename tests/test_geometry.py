@@ -61,6 +61,8 @@ def test_gridspec_validation():
         GridSpec(0, 1, (0.0, 0.0), (0, 1), (0, 1), resolution_i=1)
     with pytest.raises(ValueError):
         GridSpec(0, 3, (0.0, 0.0), (0, 1), (0, 1))
+    with pytest.raises(ValueError):
+        GridSpec(0, 1, (0.0, 10**400), (0, 1), (0, 1))
 
 
 def test_grid_values_single_point_closed_form():

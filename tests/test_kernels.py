@@ -18,6 +18,8 @@ def test_spec_rejects_bad_bandwidth():
         KernelSpec("abel", float("nan"))
     with pytest.raises(ValueError):
         KernelSpec("abel", True)
+    with pytest.raises(ValueError):
+        KernelSpec("abel", 10**400)
 
 
 def test_spec_rejects_unknown_family():

@@ -8,7 +8,6 @@ from scipy.special import expit
 from kernelreach import (
     BoxInitial,
     CwhSystem,
-    ExternalSource,
     GaussianDisturbance,
     MlpController,
     MlpLayer,
@@ -386,8 +385,10 @@ def test_tora_builtin_feedback_envelope():
 
 
 def test_simulate_rejects_external_source():
-    config = SystemConfig(system=ExternalSource("none.csv"), horizon=1)
-    with pytest.raises(ValueError):
+    # only CWH and TORA simulate; any other system object, such as a path to
+    # samples produced elsewhere, is rejected by name
+    config = SystemConfig(system="samples.csv", horizon=1, initial=PointInitial((0.0,) * 4))
+    with pytest.raises(ValueError, match="cannot simulate a str"):
         simulate_trajectory(config, np.zeros(4), seed=0)
 
 
@@ -438,18 +439,6 @@ def test_child_seed_fixed_mixer():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         sample_terminal_states(_cwh_config(), 0, master_seed=0)
-
-
-def test_external_source_sampling(tmp_path):
-    rng = np.random.default_rng(9)
-    path = tmp_path / "terminal.csv"
-    save_sample_csv(SampleSet(rng.normal(size=(10, 3))), path)
-    config = SystemConfig(system=ExternalSource(str(path)), horizon=1)
-    subset = sample_terminal_states(config, 6, master_seed=0)
-    full = load_sample_csv(path)
-    assert np.array_equal(subset.points, full.points[:6])
-    with pytest.raises(ValueError):
-        sample_terminal_states(config, 11, master_seed=0)
 
 
 # ---------------------------------------------------------------------------
