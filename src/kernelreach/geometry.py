@@ -24,6 +24,10 @@ from .systems import SystemConfig, child_seed, sample_terminal_states
 # draws.
 _FRESH_STREAM = 2**32
 
+# Distances a Hausdorff block holds (8 MB), unless one row, the size of the
+# second cloud, is longer.
+_HAUSDORFF_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -152,6 +156,8 @@ def extract_contour(values, grid: GridSpec, level: float) -> ContourSet:
         )
     if not np.all(np.isfinite(v)):
         raise ValueError("grid values must be finite")
+    if not finite(level):
+        raise ValueError(f"contour level must be finite, got {level!r}")
 
     xs = grid.axis_i()
     ys = grid.axis_j()
@@ -224,16 +230,34 @@ def _in_metric(distance, metric) -> float:
     return float(distance)
 
 
+def _nearest(a, b):
+    """Distance from each point of ``a`` to its nearest in ``b``, and from each of ``b`` to ``a``.
+
+    Distances are taken a block of rows of ``a`` at a time, so no (len(a),
+    len(b)) matrix is built.  Each distance is the same elementwise arithmetic
+    in any block and min is exact, so the result does not depend on the blocks.
+    """
+    a, b = _as_cloud(a, "a"), _as_cloud(b, "b")
+    rows = max(1, _HAUSDORFF_BLOCK // b.shape[0])
+    to_b = np.empty(a.shape[0])
+    to_a = np.full(b.shape[0], np.inf)
+    for start in range(0, a.shape[0], rows):
+        d = _distances(a[start : start + rows], b)
+        d.min(axis=1, out=to_b[start : start + rows])
+        np.minimum(to_a, d.min(axis=0), out=to_a)
+    return to_b, to_a
+
+
 def directed_hausdorff(a, b, metric="euclidean") -> float:
     """max over points of ``a`` of the distance to the nearest point of ``b``."""
-    d = _distances(_as_cloud(a, "a"), _as_cloud(b, "b"))
-    return _in_metric(d.min(axis=1).max(), metric)
+    to_b, _ = _nearest(a, b)
+    return _in_metric(to_b.max(), metric)
 
 
 def hausdorff(a, b, metric="euclidean") -> float:
     """Symmetric Hausdorff distance: the larger of the two directed distances."""
-    d = _distances(_as_cloud(a, "a"), _as_cloud(b, "b"))
-    return _in_metric(max(d.min(axis=1).max(), d.min(axis=0).max()), metric)
+    to_b, to_a = _nearest(a, b)
+    return _in_metric(max(to_b.max(), to_a.max()), metric)
 
 
 def containment_rate(model: SupportModel, points) -> float:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import finite
+from .schema import FieldError, finite
 
 ABEL = "abel"
 GAUSSIAN = "gaussian"
@@ -28,13 +28,11 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
-            raise ValueError(
-                f"unknown kernel family {self.family!r}; expected one of {_FAMILIES}"
-            )
+            raise FieldError("family", f"must be one of {_FAMILIES}, got {self.family!r}")
         bw = self.bandwidth
         number = isinstance(bw, (int, float)) and not isinstance(bw, bool)
         if not (number and finite(bw) and bw > 0):
-            raise ValueError(f"bandwidth must be a positive finite number, got {bw!r}")
+            raise FieldError("bandwidth", f"must be a positive finite number, got {bw!r}")
 
 
 @dataclass(frozen=True)

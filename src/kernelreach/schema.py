@@ -14,6 +14,18 @@ class ConfigError(ValueError):
     """A malformed input file or flag, annotated with the offending file and field."""
 
 
+class FieldError(ValueError):
+    """A value check that fails on the parameter ``field`` of a dataclass or loader.
+
+    Read from a file, it names the JSON field that parameter is read from.
+    """
+
+    def __init__(self, field, problem):
+        super().__init__(f"{field} {problem}")
+        self.field = field
+        self.problem = problem
+
+
 # The JSON values a field of each annotation takes; a bool is never a number.
 _JSON_TYPES = {
     float: ((int, float), "a number"),
@@ -88,8 +100,9 @@ def build(factory, doc, path, where, sections=None, names=None, **given):
     in ``names`` where the two differ.  A field in ``sections`` is built by
     that function from its JSON value and dotted name; every other field
     must be JSON of its annotation's type.  Defaults and value checks are the
-    factory's own, and a JSON null means the default.  An unknown, missing or
-    mistyped field is a ConfigError that names the file and the dotted field.
+    factory's own, and a JSON null means the default.  An unknown, missing,
+    mistyped or, by a FieldError of the factory, rejected field is a
+    ConfigError that names the file and the dotted field.
     """
     doc = json_object(doc, path, where)
     if isinstance(factory, dict):
@@ -123,6 +136,11 @@ def build(factory, doc, path, where, sections=None, names=None, **given):
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
+        keys = {param.name: key for key, param in params.items()}
+        if isinstance(exc, FieldError) and exc.field in keys:
+            raise ConfigError(
+                f"{path}: field {_dotted(where, keys[exc.field])} {exc.problem}"
+            ) from exc
         raise ConfigError(f"{path}: {where + ': ' if where else ''}{exc}") from exc
 
 

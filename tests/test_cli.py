@@ -219,6 +219,27 @@ def test_contour_level_override(tmp_path):
     assert level == 0.1
 
 
+@pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
+def test_contour_rejects_a_non_finite_level(tmp_path, capsys, level):
+    # a non-finite level has no contour, and JSON cannot hold it: exit 2, write nothing
+    samples = tmp_path / "one.csv"
+    samples.write_text("x1,x2\n0.0,0.0\n")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(model_path)]) == 0
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "dim_i": 0, "dim_j": 1, "fixed": [0.0, 0.0],
+        "range_i": [-1, 1], "range_j": [-1, 1],
+        "resolution_i": 5, "resolution_j": 5,
+    }))
+    capsys.readouterr()
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 f"--level={level}", "--out", str(out)]) == 2
+    assert "contour level must be finite" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".json").exists()
+
+
 def test_validate_prints_rate_and_hausdorff(tmp_path, capsys):
     config = tmp_path / "run.json"
     _write_cwh_config(config)
@@ -435,7 +456,9 @@ def _tora_doc():
     ("cwh", "fit", "kernel", "gaussian", "unknown field fit.kernel"),
     ("cwh", "fit", "bandwidth", "0.5", "field fit.bandwidth must be a number"),
     ("cwh", "fit", "bandwidth", True, "field fit.bandwidth must be a number"),
-    ("cwh", "fit", "lambda", "half", "fit: regularization lambda must be a positive number"),
+    ("cwh", "fit", "lambda", "half", "field fit.lambda must be a positive number"),
+    ("cwh", "fit", "kernel_family", "x", "field fit.kernel_family must be one of"),
+    ("cwh", "fit", "bandwidth", -0.5, "field fit.bandwidth must be a positive finite number"),
     # grid
     ("cwh", "grid", "resolution", 50, "unknown field grid.resolution"),
     ("cwh", "grid", "resolution_i", 5.7, "field grid.resolution_i must be an integer, got 5.7"),
@@ -495,6 +518,9 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     ("m", 5.0, "field m must be an integer, got 5.0"),
     ("lambda", "0.2", "field lambda must be a number, got '0.2'"),
     ("bandwidth", True, "field bandwidth must be a number, got True"),
+    ("lambda", -1, "field lambda must be a positive number or 'reciprocal-m', got -1"),
+    ("kernel_family", "x", "field kernel_family must be one of ('abel', 'gaussian'), got 'x'"),
+    ("bandwidth", -0.5, "field bandwidth must be a positive finite number, got -0.5"),
     ("sigma", 0.1, "unknown field sigma"),
     ("support", _Raw("[1e400, 0.0, 0.05, 0.02, -0.03, 0.04]"),
      "field support[0] must be a finite double"),

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernelreach import (
@@ -21,6 +21,7 @@ from kernelreach import (
     load_model,
     save_model,
 )
+from kernelreach.estimator import _QUERY_BLOCK
 
 
 def _random_model(seed, m=40, n=3, bandwidth=0.4, regularization=RECIPROCAL_M):
@@ -148,6 +149,11 @@ def test_optional_level_override():
     assert classify(model, np.array([50.0, 50.0]), level=0.0)
     assert not classify(model, samples.points[0], level=1.5)
     assert classify_batch(model, samples.points, level=0.0).all()
+    for level in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="membership level must be finite"):
+            classify(model, samples.points[0], level=level)
+        with pytest.raises(ValueError, match="membership level must be finite"):
+            classify_batch(model, samples.points, level=level)
 
 
 def test_classify_batch_empty():
@@ -176,6 +182,12 @@ def test_classify_batch_equals_sequential():
     st.sampled_from(["abel", "gaussian"]),
 )
 @settings(max_examples=15, deadline=None)
+# Block edges: query counts either side of one and two blocks, and sample
+# sizes at and past a block, 513 (where widths move bits) and 800.
+@example(1, _QUERY_BLOCK, 2, _QUERY_BLOCK - 1, "abel")
+@example(2, _QUERY_BLOCK + 1, 3, _QUERY_BLOCK, "gaussian")
+@example(3, 513, 4, _QUERY_BLOCK + 1, "gaussian")
+@example(4, 800, 2, 2 * _QUERY_BLOCK + 1, "abel")
 def test_batch_chunk_and_order_invariance(seed, m, n, q, family):
     # one fixed block geometry: a query's value is the same bits in any batch
     rng = np.random.default_rng(seed)

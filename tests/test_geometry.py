@@ -27,6 +27,8 @@ from kernelreach import (
     symmetric_difference_area,
     uniform_disk_sampler,
 )
+from kernelreach import geometry
+from kernelreach.kernels import _distances
 
 
 def _unit_square_grid(res=2, n=2, lo=0.0, hi=1.0):
@@ -197,6 +199,9 @@ def test_contour_rejects_bad_values():
         extract_contour(np.zeros((2, 2)), grid, 0.5)
     with pytest.raises(ValueError):
         extract_contour(np.full((3, 3), np.nan), grid, 0.5)
+    for level in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="contour level must be finite"):
+            extract_contour(np.zeros((3, 3)), grid, level)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +250,20 @@ def test_hausdorff_matches_brute_force_exactly():
             assert hausdorff(a, b, metric=spec) == max(
                 directed_hausdorff(a, b, metric=spec), directed_hausdorff(b, a, metric=spec)
             )
+
+
+@pytest.mark.parametrize("block", [7, 1000, geometry._HAUSDORFF_BLOCK])
+def test_blocked_hausdorff_equals_one_matrix_form(monkeypatch, block):
+    # a cloud of many blocks, a ragged last block, and blocks of one row when b
+    # alone outgrows a block: the same bits as one (len(a), len(b)) matrix
+    monkeypatch.setattr(geometry, "_HAUSDORFF_BLOCK", block)
+    rng = np.random.default_rng(10)
+    a = rng.normal(size=(3001, 3))
+    b = rng.normal(scale=1.5, size=(400, 3))
+    d = _distances(a, b)
+    assert directed_hausdorff(a, b) == d.min(axis=1).max()
+    assert directed_hausdorff(b, a) == d.min(axis=0).max()
+    assert hausdorff(a, b) == hausdorff(b, a) == max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
 def test_hausdorff_symmetric_exactly():
