@@ -143,7 +143,14 @@ def _quadratic_form(kernel: KernelSpec, support, factor, queries) -> np.ndarray:
         width = chunk.shape[0]
         phi[:, :width] = kernel_matrix(kernel, support, chunk)
         phi[:, width:] = 0.0
-        y = solve_triangular(factor, phi, lower=True, check_finite=False)
+        if factor.shape[0] == 1:
+            # A one-point factor is a scalar l.  OpenBLAS's trsm kernel solves
+            # by multiplying with 1/l, so this is the same bits; its LAPACK
+            # trtrs would wake a second BLAS thread for one multiply per
+            # column, 4-6 ms a call once the machine has idled.
+            y = phi * (1.0 / factor[0, 0])
+        else:
+            y = solve_triangular(factor, phi, lower=True, check_finite=False)
         out[start : start + width] = (y * y).sum(axis=0)[:width]
     return out
 

@@ -457,8 +457,6 @@ def _tora_doc():
     ("cwh", "fit", "bandwidth", "0.5", "field fit.bandwidth must be a number"),
     ("cwh", "fit", "bandwidth", True, "field fit.bandwidth must be a number"),
     ("cwh", "fit", "lambda", "half", "field fit.lambda must be a positive number"),
-    ("cwh", "fit", "kernel_family", "x", "field fit.kernel_family must be one of"),
-    ("cwh", "fit", "bandwidth", -0.5, "field fit.bandwidth must be a positive finite number"),
     # grid
     ("cwh", "grid", "resolution", 50, "unknown field grid.resolution"),
     ("cwh", "grid", "resolution_i", 5.7, "field grid.resolution_i must be an integer, got 5.7"),
@@ -495,7 +493,9 @@ def _tora_doc():
     ("cwh", "grid", "fixed", [-0.585, -0.595, False, 0.003],
      "field grid.fixed[2] must be a number, got False"),
     ("cwh", "system", "input_sequence", [[0.0, 0.0], [0.0, True]],
-     "field system.input_sequence[1][1] must be a number, got True"),
+     "field system.input_sequence[1][1] must be a number, got True"),    # value errors name their field, like the type errors above
+    ("cwh", "fit", "kernel_family", "x", "field fit.kernel_family must be one of"),
+    ("cwh", "fit", "bandwidth", -0.5, "field fit.bandwidth must be a positive finite number"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -518,9 +518,6 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     ("m", 5.0, "field m must be an integer, got 5.0"),
     ("lambda", "0.2", "field lambda must be a number, got '0.2'"),
     ("bandwidth", True, "field bandwidth must be a number, got True"),
-    ("lambda", -1, "field lambda must be a positive number or 'reciprocal-m', got -1"),
-    ("kernel_family", "x", "field kernel_family must be one of ('abel', 'gaussian'), got 'x'"),
-    ("bandwidth", -0.5, "field bandwidth must be a positive finite number, got -0.5"),
     ("sigma", 0.1, "unknown field sigma"),
     ("support", _Raw("[1e400, 0.0, 0.05, 0.02, -0.03, 0.04]"),
      "field support[0] must be a finite double"),
@@ -528,7 +525,10 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
      "field support[0] must be a number, got '0.0'"),
     ("checksum", _DELETE, "missing field checksum"),
     ("support", [True, 0.0, 0.05, 0.02, -0.03, 0.04],
-     "field support[0] must be a number, got True"),
+     "field support[0] must be a number, got True"),    # value errors name their field, like the type errors above
+    ("lambda", -1, "field lambda must be a positive number or 'reciprocal-m', got -1"),
+    ("kernel_family", "x", "field kernel_family must be one of ('abel', 'gaussian'), got 'x'"),
+    ("bandwidth", -0.5, "field bandwidth must be a positive finite number, got -0.5"),
 ])
 def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
     # one bad field in a model file fails the query before anything is written

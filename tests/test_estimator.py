@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from kernelreach import (
     RECIPROCAL_M,
@@ -22,6 +23,7 @@ from kernelreach import (
     save_model,
 )
 from kernelreach.estimator import _QUERY_BLOCK
+from kernelreach.kernels import kernel_matrix
 
 
 def _random_model(seed, m=40, n=3, bandwidth=0.4, regularization=RECIPROCAL_M):
@@ -90,6 +92,22 @@ def test_single_point_decision_general_query():
     x = np.array([0.35, 0.38])
     expected = kernel_eval(spec, samples.points[0], x) ** 2 / 2.0
     assert decision_value(model, x) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", ["abel", "gaussian"])
+def test_single_point_scalar_solve_matches_triangular_solve(family):
+    # a one-point model scales phi by 1/l instead of calling the LAPACK solve:
+    # same bits as solve_triangular on the same factor, for training values and queries
+    rng = np.random.default_rng(17)
+    for lam in (1e-3, 0.1, 1.0, 10.0, RECIPROCAL_M):
+        spec = KernelSpec(family, float(rng.uniform(0.05, 2.0)))
+        model = fit(SampleSet(rng.normal(size=(1, 3))), FitConfig(spec, lam))
+        queries = model.support + rng.normal(scale=spec.bandwidth, size=(2 * _QUERY_BLOCK + 5, 3))
+        for points, values in ((queries, decision_values(model, queries)),
+                               (model.support, model.train_values)):
+            y = solve_triangular(model.factor, kernel_matrix(spec, model.support, points),
+                                 lower=True, check_finite=False)
+            assert np.array_equal(values, (y * y).sum(axis=0))
 
 
 def test_factor_reconstructs_regularized_gram():
