@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
 from .kernels import KernelSpec, gram, kernel_matrix
@@ -158,12 +158,22 @@ def _quadratic_form(kernel: KernelSpec, support, factor, queries) -> np.ndarray:
 def _factorize(kernel: KernelSpec, support, lam: float):
     """Cholesky factor of G + M lambda I, and the classifier at each support point.
 
+    The read-only Gram matrix is copied once and LAPACK's dpotrf factors the
+    copy in place, so a fit holds two M x M arrays at most.  dpotrf comes from
+    scipy's OpenBLAS, as the triangular solves do; numpy bundles another, and
+    the two libraries' thread pools slow each other down when calls alternate.
     The matrix is positive definite for any lambda > 0; a failure means corrupt input.
     """
     m = support.shape[0]
-    a = gram(kernel, support).entries.copy()
+    # The Gram matrix is exactly symmetric, so its C-order copy, transposed,
+    # is the same matrix in the Fortran order dpotrf overwrites without a copy.
+    a = gram(kernel, support).entries.copy().T
     a[np.diag_indices(m)] += m * lam
-    factor = np.linalg.cholesky(a)
+    factor, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"G + M lambda I is not positive definite (dpotrf info {info})"
+        )
     return factor, _quadratic_form(kernel, support, factor, support)
 
 

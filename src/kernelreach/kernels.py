@@ -53,12 +53,25 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+def _kernel_in_place(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
+    """Overwrite the distances ``d`` with their kernel values; returns ``d``.
+
+    Abel is exp(-d / sigma), Gaussian exp(-d^2 / (2 sigma^2)), each step
+    written back into ``d`` so no second array is allocated.
+    """
+    if spec.family == ABEL:
+        scale = spec.bandwidth
+    else:
+        np.multiply(d, d, out=d)
+        scale = 2.0 * spec.bandwidth * spec.bandwidth
+    np.negative(d, out=d)
+    np.divide(d, scale, out=d)
+    return np.exp(d, out=d)
+
+
 def kernel_value_at_distance(spec: KernelSpec, distance):
     """Kernel value as a function of Euclidean distance (scalar or array)."""
-    d = np.asarray(distance, dtype=float)
-    if spec.family == ABEL:
-        return np.exp(-d / spec.bandwidth)
-    return np.exp(-(d * d) / (2.0 * spec.bandwidth * spec.bandwidth))
+    return _kernel_in_place(spec, np.array(distance, dtype=float))[()]
 
 
 def _as_point(x, name):
@@ -113,15 +126,21 @@ def _distances(points, queries) -> np.ndarray:
     if p.shape[1] != q.shape[1]:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
     total = np.zeros((p.shape[0], q.shape[0]))
+    diff = np.empty_like(total)
     for k in range(p.shape[1]):
-        diff = np.subtract.outer(p[:, k], q[:, k])
+        np.subtract.outer(p[:, k], q[:, k], out=diff)
         total += np.square(diff, out=diff)
     return np.sqrt(total, out=total)
 
 
 def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
-    """Cross kernel matrix with entries K(points[i], queries[j]), shape (M, Q)."""
-    return kernel_value_at_distance(spec, _distances(points, queries))
+    """Cross kernel matrix with entries K(points[i], queries[j]), shape (M, Q).
+
+    The kernel overwrites the distance matrix, so building an (M, Q) matrix
+    holds two (M, Q) arrays at its peak: the distances and one coordinate's
+    differences.
+    """
+    return _kernel_in_place(spec, _distances(points, queries))
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:

@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .atomic import atomic_write
 from .estimator import SampleSet
@@ -52,10 +51,20 @@ TANH = "tanh"
 SIGMOID = "sigmoid"
 LINEAR = "linear"
 
+
+def _sigmoid(v):
+    # Imported here so that only a network with a sigmoid layer pays for
+    # importing scipy.special.  expit, not 1 / (1 + exp(-v)): the two differ
+    # in the last bit of some values.
+    from scipy.special import expit
+
+    return expit(v)
+
+
 _ACTIVATIONS = {
     RELU: lambda v: np.maximum(v, 0.0),
     TANH: np.tanh,
-    SIGMOID: expit,
+    SIGMOID: _sigmoid,
     LINEAR: lambda v: v,
 }
 

@@ -354,6 +354,20 @@ def test_module_entry_point(tmp_path):
     assert load_sample_csv(out).size == 3
 
 
+def test_cli_import_does_not_load_scipy_special():
+    # scipy.special serves only the sigmoid activation; start-up must not pay its import
+    import subprocess
+    import sys
+
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kernelreach.cli; print('scipy.special' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def _mlp_weights_doc():
     return {
         "input_dim": 4,
@@ -564,6 +578,16 @@ def test_query_singular_model_exits_4(tmp_path, capsys):
     assert main(["query", "--model", str(model), "--points", str(points), "--out", str(out)]) == 4
     assert "numerical error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_fit_singular_samples_exits_4(tmp_path, capsys):
+    # coincident samples and a lambda too small to lift the zero pivot: the factorization fails
+    samples = tmp_path / "samples.csv"
+    samples.write_text("x1,x2\n0.5,0.5\n0.5,0.5\n0.5,0.5\n")
+    model = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--lambda", "1e-300", "--out", str(model)]) == 4
+    assert "numerical error" in capsys.readouterr().err
+    assert not model.exists()
 
 
 @pytest.mark.parametrize("section, key, value, expected", [

@@ -22,8 +22,8 @@ from kernelreach import (
     load_model,
     save_model,
 )
-from kernelreach.estimator import _QUERY_BLOCK
-from kernelreach.kernels import kernel_matrix
+from kernelreach.estimator import _QUERY_BLOCK, _factorize
+from kernelreach.kernels import gram, kernel_matrix
 
 
 def _random_model(seed, m=40, n=3, bandwidth=0.4, regularization=RECIPROCAL_M):
@@ -121,6 +121,44 @@ def test_factor_reconstructs_regularized_gram():
     )
     expected = g + samples.size * model.lam * np.eye(samples.size)
     assert np.allclose(a, expected, rtol=1e-10)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 8, 64, 65, 300, 513])
+@pytest.mark.parametrize("family", ["abel", "gaussian"])
+@pytest.mark.parametrize("lam", [RECIPROCAL_M, 0.013])
+def test_factor_matches_numpy_cholesky(m, family, lam):
+    # dpotrf on a copy of the Gram matrix against numpy's Cholesky of G + M lambda I.
+    # numpy and scipy bundle different OpenBLAS builds, so the bits may differ by an ulp.
+    rng = np.random.default_rng(m)
+    points = rng.uniform(-1.0, 1.0, size=(m, 2))
+    spec = KernelSpec(family, 0.3)
+    lam = FitConfig(spec, lam).resolve_lambda(m)
+    factor, _ = _factorize(spec, points, lam)
+    assert np.array_equal(factor, np.tril(factor))
+    a = gram(spec, points).entries + m * lam * np.eye(m)
+    assert np.abs(factor - np.linalg.cholesky(a)).max() <= 1e-15
+    assert np.array_equal(factor, _factorize(spec, points, lam)[0])
+
+
+def test_fit_coincident_samples_raise_linalg_error():
+    samples = SampleSet(np.full((3, 2), 0.5))
+    with pytest.raises(np.linalg.LinAlgError):
+        fit(samples, FitConfig(KernelSpec(), 1e-300))
+
+
+def test_fit_peak_memory_is_two_m_by_m_arrays():
+    # the Gram matrix plus the buffer factored in place, and nothing else M x M
+    import tracemalloc
+
+    m = 1024
+    samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
+    tracemalloc.start()
+    try:
+        fit(samples, FitConfig(KernelSpec("abel", 0.1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * m * m * 8
 
 
 def test_decision_matches_dense_inverse_oracle():

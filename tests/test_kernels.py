@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelreach import GramMatrix, KernelSpec, gram, kernel_eval, kernel_metric
-from kernelreach.kernels import kernel_matrix
+from kernelreach.kernels import _distances, kernel_matrix, kernel_value_at_distance
 
 
 def test_spec_rejects_bad_bandwidth():
@@ -131,6 +131,31 @@ def test_abel_translation_invariance_random_floats():
         t = rng.uniform(-1.0, 1.0, size=4)
         worst = max(worst, abs(kernel_eval(spec, x + t, y + t) - kernel_eval(spec, x, y)))
     assert worst <= 1e-15
+
+
+_FOUR_SPECS = [KernelSpec(f, bw) for f in ("abel", "gaussian") for bw in (0.1, 0.7)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_distances_match_coordinate_order_reference(n):
+    rng = np.random.default_rng(n)
+    p, q = rng.normal(size=(37, n)), rng.normal(size=(23, n))
+    total = np.zeros((37, 23))
+    for k in range(n):
+        total = total + (p[:, k, None] - q[None, :, k]) ** 2
+    assert np.array_equal(_distances(p, q), np.sqrt(total))
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+@pytest.mark.parametrize("spec", _FOUR_SPECS)
+def test_kernel_matrix_in_place_matches_value_at_distance(n, spec):
+    # kernel_matrix overwrites the distances; kernel_value_at_distance works on a copy
+    rng = np.random.default_rng(n)
+    p, q = rng.normal(scale=0.5, size=(41, n)), rng.normal(scale=0.5, size=(19, n))
+    d = _distances(p, q)
+    kept = d.copy()
+    assert np.array_equal(kernel_matrix(spec, p, q), kernel_value_at_distance(spec, d))
+    assert np.array_equal(d, kept)
 
 
 def test_gram_single_point():
