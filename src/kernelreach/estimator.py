@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
-from .kernels import KernelSpec, gram, kernel_matrix
+from .kernels import KernelSpec, _as_points, gram, kernel_matrix
 from .schema import ConfigError, FieldError, build, finite, json_object, load_json
 
 RECIPROCAL_M = "reciprocal-m"
@@ -53,11 +53,7 @@ class SampleSet:
     provenance: str = ""
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("sample points must form a nonempty (M, n) array")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("sample points contain non-finite entries")
+        pts = _as_points(self.points, "sample points")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -113,6 +109,8 @@ class SupportModel:
     train_values: np.ndarray
 
     def __post_init__(self):
+        # The query loop trusts the support, so a model built directly is checked here.
+        object.__setattr__(self, "support", _as_points(self.support, "support points"))
         for arr in (self.support, self.factor, self.train_values):
             arr.flags.writeable = False
 
@@ -189,16 +187,15 @@ def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
 
 
 def _as_queries(model: SupportModel, points) -> np.ndarray:
+    """Query points as a (Q, model.dim) array: a 1-d array is one point, an empty one none."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(0, model.dim) if pts.size == 0 else pts[None, :]
-    if pts.ndim != 2 or (pts.size and pts.shape[1] != model.dim):
+    if pts.ndim != 2 or pts.shape[1] != model.dim:
         raise ValueError(
             f"query points must have dimension {model.dim}, got shape {pts.shape}"
         )
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("query points contain non-finite entries")
-    return pts
+    return _as_points(pts, "query points") if pts.size else pts
 
 
 def decision_values(model: SupportModel, points) -> np.ndarray:
@@ -213,11 +210,6 @@ def decision_value(model: SupportModel, x) -> float:
     if xv.ndim != 1:
         raise ValueError("query must be a 1-d vector")
     return float(decision_values(model, xv[None, :])[0])
-
-
-def decision_threshold(model: SupportModel) -> float:
-    """The fitted margin tau = 1 - min over training points of the classifier."""
-    return model.tau
 
 
 def _inside(model: SupportModel, values, level=None):

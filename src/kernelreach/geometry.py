@@ -15,7 +15,7 @@ from .estimator import (
     decision_values,
     fit,
 )
-from .kernels import KernelSpec, _distances, kernel_value_at_distance
+from .kernels import KernelSpec, _as_points, _distances, kernel_value_at_distance
 from .schema import finite
 from .systems import SystemConfig, child_seed, sample_terminal_states
 
@@ -210,14 +210,9 @@ def _edge_crossing(edge, corner_vals, corner_pts, level):
 
 
 def _as_cloud(points, name):
+    """A point cloud as an (M, n) array; a 1-d array is M scalar points."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ValueError(f"{name} must be a nonempty point cloud")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite points")
-    return arr
+    return _as_points(arr[:, None] if arr.ndim == 1 else arr, name)
 
 
 def _in_metric(distance, metric) -> float:
@@ -238,6 +233,8 @@ def _nearest(a, b):
     in any block and min is exact, so the result does not depend on the blocks.
     """
     a, b = _as_cloud(a, "a"), _as_cloud(b, "b")
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     rows = max(1, _HAUSDORFF_BLOCK // b.shape[0])
     to_b = np.empty(a.shape[0])
     to_a = np.full(b.shape[0], np.inf)
@@ -261,9 +258,14 @@ def hausdorff(a, b, metric="euclidean") -> float:
 
 
 def containment_rate(model: SupportModel, points) -> float:
-    """Fraction of a fresh point cloud classified inside the estimated set."""
-    cloud = _as_cloud(points, "points")
-    return float(classify_batch(model, cloud).mean())
+    """Fraction of a fresh point cloud classified inside the estimated set.
+
+    Points are read as ``classify_batch`` reads them: a 1-d array is one point.
+    """
+    inside = classify_batch(model, points)
+    if inside.size == 0:
+        raise ValueError("containment rate needs a nonempty point cloud")
+    return float(inside.mean())
 
 
 def symmetric_difference_area(inside_a, inside_b, grid: GridSpec) -> float:

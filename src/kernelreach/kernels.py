@@ -74,38 +74,30 @@ def kernel_value_at_distance(spec: KernelSpec, distance):
     return _kernel_in_place(spec, np.array(distance, dtype=float))[()]
 
 
-def _as_point(x, name):
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} has non-finite entries")
-    return arr
+def _as_points(points, name) -> np.ndarray:
+    """``points`` as a float (M, n) array with M, n >= 1 and finite entries.
 
-
-def _as_points(points):
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1 and arr.size == 0:
-        raise ValueError("empty point list")
-    if arr.ndim != 2:
-        raise ValueError("points must form an (M, n) array with a common dimension")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError("points must form a nonempty (M, n) array")
+    The one check of a point array: every public entry point calls it once on
+    its own arguments, and the loops inside trust what they are given.
+    """
+    try:
+        arr = np.asarray(points, dtype=float)
+    except ValueError as exc:
+        raise ValueError(f"{name} must form an (M, n) array of one width") from exc
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"{name} must form a nonempty (M, n) array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
-        raise ValueError("points contain non-finite entries")
+        raise ValueError(f"{name} contain non-finite entries")
     return arr
 
 
 def kernel_eval(spec: KernelSpec, x, y) -> float:
-    """K(x, y) for two state vectors; always in (0, 1].
+    """K(x, y) for two nonempty state vectors of one length; always in (0, 1].
 
     Symmetric in its arguments bit-for-bit: the coordinate differences enter
     only through their squares.
     """
-    xv = _as_point(x, "x")
-    yv = _as_point(y, "y")
-    if xv.shape != yv.shape:
-        raise ValueError(f"dimension mismatch: {xv.size} vs {yv.size}")
+    xv, yv = _as_points((x, y), "x and y")
     diff = xv - yv
     return float(kernel_value_at_distance(spec, np.sqrt((diff * diff).sum())))
 
@@ -119,12 +111,11 @@ def kernel_metric(spec: KernelSpec, x, y) -> float:
     return float(np.sqrt(2.0 - 2.0 * kernel_eval(spec, x, y)))
 
 
-def _distances(points, queries) -> np.ndarray:
-    """Euclidean distances, shape (M, Q), summed one coordinate at a time."""
-    p = _as_points(points)
-    q = _as_points(queries)
-    if p.shape[1] != q.shape[1]:
-        raise ValueError(f"dimension mismatch: {p.shape[1]} vs {q.shape[1]}")
+def _distances(p, q) -> np.ndarray:
+    """Euclidean distances, shape (M, Q), summed one coordinate at a time.
+
+    Unchecked: callers pass float arrays of one width, checked by ``_as_points``.
+    """
     total = np.zeros((p.shape[0], q.shape[0]))
     diff = np.empty_like(total)
     for k in range(p.shape[1]):
@@ -138,11 +129,12 @@ def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
 
     The kernel overwrites the distance matrix, so building an (M, Q) matrix
     holds two (M, Q) arrays at its peak: the distances and one coordinate's
-    differences.
+    differences.  Unchecked, as ``_distances`` is.
     """
     return _kernel_in_place(spec, _distances(points, queries))
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix of a point set: entries[i][j] = K(points[i], points[j])."""
-    return GramMatrix(kernel_matrix(spec, points, points))
+    p = _as_points(points, "points")
+    return GramMatrix(kernel_matrix(spec, p, p))

@@ -14,7 +14,6 @@ from kernelreach import (
     SampleSet,
     classify,
     classify_batch,
-    decision_threshold,
     decision_value,
     decision_values,
     fit,
@@ -81,7 +80,6 @@ def test_fit_two_coincident_points():
     samples = SampleSet(np.array([[1.0, 1.0], [1.0, 1.0]]))
     model = fit(samples, FitConfig(KernelSpec("abel", 0.1), lam))
     assert model.train_values == pytest.approx([1 / (1 + lam)] * 2, abs=1e-12)
-    assert decision_threshold(model) == pytest.approx(lam / (1 + lam), abs=1e-12)
     assert model.tau == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
@@ -311,6 +309,8 @@ def test_query_validation():
         decision_value(model, [np.nan, 0.0, 0.0])
     with pytest.raises(ValueError):
         classify_batch(model, np.full((2, 3), np.inf))
+    with pytest.raises(ValueError):
+        decision_values(model, np.zeros((0, 5)))  # empty, but of the wrong width
 
 
 def test_fit_rejects_nonfinite_samples():

@@ -321,6 +321,17 @@ def test_containment_mixed_cloud_matches_manual_count():
     assert containment_rate(model, cloud) == manual == 0.5
 
 
+def test_containment_reads_points_as_classify_batch_does():
+    samples, model = _random_model(12, m=15)
+    from kernelreach import classify
+
+    for x in (samples.points[0], np.full(2, 40.0)):
+        assert containment_rate(model, x) == float(classify(model, x))
+    for empty in ([], np.empty((0, 2))):
+        with pytest.raises(ValueError):
+            containment_rate(model, empty)
+
+
 def test_symmetric_difference_area():
     grid = GridSpec(0, 1, (0.0, 0.0), (-1.5, 1.5), (-1.5, 1.5),
                     resolution_i=200, resolution_j=200)
