@@ -128,51 +128,56 @@ class SupportModel:
         return 1.0 - float(self.train_values.min())
 
 
-def _quadratic_form(kernel: KernelSpec, support, factor, queries) -> np.ndarray:
-    """F(x) = phi' (G + M lambda I)^{-1} phi at each query, as ||L^{-1} phi||^2.
+def _quadratic_form(factor, count: int, phi_columns) -> np.ndarray:
+    """F = phi' (G + M lambda I)^{-1} phi at ``count`` points, as ||L^{-1} phi||^2.
 
-    phi is built and solved _QUERY_BLOCK columns at a time.  The sum of
-    squares keeps every value nonnegative in floating point.
+    ``phi_columns(start, stop)`` gives the (M, stop - start) phi columns of
+    points start to stop; they are copied into one Fortran-order buffer of
+    _QUERY_BLOCK columns, solved and squared in place.  The sum of squares
+    keeps every value nonnegative in floating point.
     """
-    out = np.empty(queries.shape[0])
-    phi = np.zeros((support.shape[0], _QUERY_BLOCK))
-    for start in range(0, queries.shape[0], _QUERY_BLOCK):
-        chunk = queries[start : start + _QUERY_BLOCK]
-        width = chunk.shape[0]
-        phi[:, :width] = kernel_matrix(kernel, support, chunk)
+    out = np.empty(count)
+    phi = np.zeros((factor.shape[0], _QUERY_BLOCK), order="F")
+    for start in range(0, count, _QUERY_BLOCK):
+        stop = min(start + _QUERY_BLOCK, count)
+        width = stop - start
+        phi[:, :width] = phi_columns(start, stop)
         phi[:, width:] = 0.0
         if factor.shape[0] == 1:
             # A one-point factor is a scalar l.  OpenBLAS's trsm kernel solves
             # by multiplying with 1/l, so this is the same bits; its LAPACK
             # trtrs would wake a second BLAS thread for one multiply per
             # column, 4-6 ms a call once the machine has idled.
-            y = phi * (1.0 / factor[0, 0])
+            y = np.multiply(phi, 1.0 / factor[0, 0], out=phi)
         else:
-            y = solve_triangular(factor, phi, lower=True, check_finite=False)
-        out[start : start + width] = (y * y).sum(axis=0)[:width]
+            y = solve_triangular(factor, phi, lower=True, overwrite_b=True, check_finite=False)
+        out[start:stop] = np.multiply(y, y, out=y).sum(axis=0)[:width]
     return out
 
 
 def _factorize(kernel: KernelSpec, support, lam: float):
     """Cholesky factor of G + M lambda I, and the classifier at each support point.
 
-    The read-only Gram matrix is copied once and LAPACK's dpotrf factors the
-    copy in place, so a fit holds two M x M arrays at most.  dpotrf comes from
-    scipy's OpenBLAS, as the triangular solves do; numpy bundles another, and
-    the two libraries' thread pools slow each other down when calls alternate.
-    The matrix is positive definite for any lambda > 0; a failure means corrupt input.
+    LAPACK's dpotrf factors a copy of the read-only Gram matrix in place, and
+    the training phi blocks are G's own columns, so a fit holds G, its
+    factored copy and one phi block.  dpotrf comes from scipy's OpenBLAS, as
+    the triangular solves do; numpy bundles another, and the two libraries'
+    thread pools slow each other down when calls alternate.  The matrix is
+    positive definite for any lambda > 0; a failure means corrupt input.
     """
     m = support.shape[0]
-    # The Gram matrix is exactly symmetric, so its C-order copy, transposed,
-    # is the same matrix in the Fortran order dpotrf overwrites without a copy.
-    a = gram(kernel, support).entries.copy().T
+    g = gram(kernel, support).entries
+    # G is exactly symmetric, so its C-order copy, transposed, is the same
+    # matrix in the Fortran order dpotrf overwrites without a copy; and row
+    # block G[s:e], transposed, is column block G[:, s:e].
+    a = g.copy().T
     a[np.diag_indices(m)] += m * lam
     factor, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"G + M lambda I is not positive definite (dpotrf info {info})"
         )
-    return factor, _quadratic_form(kernel, support, factor, support)
+    return factor, _quadratic_form(factor, m, lambda start, stop: g[start:stop].T)
 
 
 def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
@@ -201,7 +206,11 @@ def _as_queries(model: SupportModel, points) -> np.ndarray:
 def decision_values(model: SupportModel, points) -> np.ndarray:
     """Classifier values at a batch of query points (always >= 0)."""
     pts = _as_queries(model, points)
-    return _quadratic_form(model.kernel, model.support, model.factor, pts)
+    return _quadratic_form(
+        model.factor,
+        pts.shape[0],
+        lambda start, stop: kernel_matrix(model.kernel, model.support, pts[start:stop]),
+    )
 
 
 def decision_value(model: SupportModel, x) -> float:

@@ -11,6 +11,9 @@ GAUSSIAN = "gaussian"
 
 _FAMILIES = (ABEL, GAUSSIAN)
 
+# Rows of the Gram matrix built per kernel_matrix call.
+_GRAM_ROWS = 64
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -39,8 +42,9 @@ class KernelSpec:
 class GramMatrix:
     """Pairwise kernel values over a point set.
 
-    Symmetry and the unit diagonal are exact by construction: (a - b)^2 equals
-    (b - a)^2 in IEEE arithmetic, and K(x, x) = K(0) = 1 for both kernels.
+    Symmetry and the unit diagonal are exact by construction: ``gram`` copies
+    each entry below the diagonal from its mirror image, and K(x, x) = K(0)
+    = 1 for both kernels.
     """
 
     entries: np.ndarray
@@ -57,15 +61,15 @@ def _kernel_in_place(spec: KernelSpec, d: np.ndarray) -> np.ndarray:
     """Overwrite the distances ``d`` with their kernel values; returns ``d``.
 
     Abel is exp(-d / sigma), Gaussian exp(-d^2 / (2 sigma^2)), each step
-    written back into ``d`` so no second array is allocated.
+    written back into ``d`` so no second array is allocated.  Dividing by
+    -scale is the same bits as negating and then dividing by scale.
     """
     if spec.family == ABEL:
         scale = spec.bandwidth
     else:
         np.multiply(d, d, out=d)
         scale = 2.0 * spec.bandwidth * spec.bandwidth
-    np.negative(d, out=d)
-    np.divide(d, scale, out=d)
+    np.divide(d, -scale, out=d)
     return np.exp(d, out=d)
 
 
@@ -115,10 +119,13 @@ def _distances(p, q) -> np.ndarray:
     """Euclidean distances, shape (M, Q), summed one coordinate at a time.
 
     Unchecked: callers pass float arrays of one width, checked by ``_as_points``.
+    The first coordinate's square is written straight into the sum, which
+    is the same bits as adding it to zeros.
     """
-    total = np.zeros((p.shape[0], q.shape[0]))
+    total = np.subtract.outer(p[:, 0], q[:, 0])
+    np.square(total, out=total)
     diff = np.empty_like(total)
-    for k in range(p.shape[1]):
+    for k in range(1, p.shape[1]):
         np.subtract.outer(p[:, k], q[:, k], out=diff)
         total += np.square(diff, out=diff)
     return np.sqrt(total, out=total)
@@ -135,6 +142,19 @@ def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, points) -> GramMatrix:
-    """Gram matrix of a point set: entries[i][j] = K(points[i], points[j])."""
+    """Gram matrix of a point set: entries[i][j] = K(points[i], points[j]).
+
+    Built _GRAM_ROWS rows at a time from the diagonal rightwards, each row
+    block's transpose copied into the rows below it, so the result is one
+    M x M array plus a row block.  Every entry is kernel_matrix(spec, p, p)'s
+    bit for bit, since (a - b)^2 equals (b - a)^2.
+    """
     p = _as_points(points, "points")
-    return GramMatrix(kernel_matrix(spec, p, p))
+    m = p.shape[0]
+    entries = np.empty((m, m))
+    for start in range(0, m, _GRAM_ROWS):
+        stop = min(start + _GRAM_ROWS, m)
+        rows = kernel_matrix(spec, p[start:stop], p[start:])
+        entries[start:stop, start:] = rows
+        entries[stop:, start:stop] = rows[:, stop - start :].T
+    return GramMatrix(entries)

@@ -145,7 +145,8 @@ def test_fit_coincident_samples_raise_linalg_error():
 
 
 def test_fit_peak_memory_is_two_m_by_m_arrays():
-    # the Gram matrix plus the buffer factored in place, and nothing else M x M
+    # G, its copy factored in place and one phi block solved and squared in
+    # place; one more copy of the block would take the peak past the bound
     import tracemalloc
 
     m = 1024

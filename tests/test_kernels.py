@@ -180,9 +180,12 @@ def test_gram_matches_brute_force():
 
 
 def test_gram_symmetry_and_diagonal_exact():
-    # exact by construction: no mirroring, gram is kernel_matrix(p, p)
+    # gram builds 64-row blocks and mirrors them below the diagonal; every
+    # entry must still be the one-matrix reference kernel_matrix(p, p)'s,
+    # on each side of a block edge
     rng = np.random.default_rng(11)
-    for m, n in ((60, 4), (257, 2), (33, 9)):
+    blocked = [(m, n) for m in (1, 2, 63, 64, 65, 128, 129, 300) for n in (1, 2, 4)]
+    for m, n in blocked + [(60, 4), (257, 2), (33, 9)]:
         pts = rng.normal(size=(m, n))
         for spec in (KernelSpec("abel", 0.5), KernelSpec("gaussian", 0.5)):
             g = gram(spec, pts)
@@ -197,6 +200,21 @@ def test_gram_positive_semidefinite(m):
     pts = rng.normal(size=(m, 3))
     g = gram(KernelSpec("abel", 0.2), pts)
     assert np.linalg.eigvalsh(g.entries).min() >= -1e-8
+
+
+def test_gram_peak_memory_is_one_m_by_m_array():
+    # the result plus one 64-row block and its coordinate differences
+    import tracemalloc
+
+    m = 1024
+    pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2))
+    tracemalloc.start()
+    try:
+        gram(KernelSpec("abel", 0.1), pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * m * m * 8
 
 
 def test_gram_rejects_empty_and_ragged():
