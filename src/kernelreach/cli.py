@@ -2,7 +2,8 @@
 
 All commands are deterministic given their input files and flags; wall-time
 reports go to the terminal, never into data files.  Exit codes: 0 success,
-2 validation or configuration error, 3 I/O error, 4 numerical error.
+2 validation or configuration error, 3 I/O error, 4 numerical error or out of
+memory.
 """
 
 import argparse
@@ -306,6 +307,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from .estimator import (
     fit,
 )
 from .kernels import KernelSpec, _as_points, _distances, kernel_value_at_distance
-from .schema import finite
+from .schema import FieldError, finite
 from .systems import SystemConfig, child_seed, sample_terminal_states
 
 # Stream index used to draw the fresh reference sample in sweeps; chosen far
@@ -47,6 +47,10 @@ class GridSpec:
     resolution_j: int = 100
 
     def __post_init__(self):
+        for field in ("range_i", "range_j"):
+            bounds = getattr(self, field)
+            if len(bounds) != 2:
+                raise FieldError(field, f"must hold exactly two numbers, got {bounds!r}")
         if not all(finite(v) for v in (*self.fixed, *self.range_i, *self.range_j)):
             raise ValueError("grid values must be finite")
         fixed = tuple(float(v) for v in self.fixed)
@@ -120,25 +124,26 @@ class ContourSet:
         object.__setattr__(self, "segments", seg)
 
 
-# Segment endpoints per marching-squares case, excluding the two saddles.
-# Corners are numbered 0:(a,b) 1:(a+1,b) 2:(a+1,b+1) 3:(a,b+1); the mask sets
-# bit k when corner k is inside.  Edges are 0:(0-1) 1:(1-2) 2:(2-3) 3:(3-0).
-_CASE_SEGMENTS = {
-    1: ((3, 0),),
-    2: ((0, 1),),
-    3: ((3, 1),),
-    4: ((1, 2),),
-    6: ((0, 2),),
-    7: ((2, 3),),
-    8: ((2, 3),),
-    9: ((0, 2),),
-    11: ((1, 2),),
-    12: ((3, 1),),
-    13: ((0, 1),),
-    14: ((3, 0),),
-}
+# Edge pairs per marching-squares case, indexed by case + 16 * (cell mean >=
+# level).  Corners are numbered 0:(a,b) 1:(a+1,b) 2:(a+1,b+1) 3:(a,b+1); the
+# case sets bit k when corner k is inside.  Edges are numbered 1:(0-1) 2:(1-2)
+# 3:(2-3) 4:(3-0), and 0 pads a case with one segment.  Rows 16-31 repeat rows
+# 0-15, except that the two saddles, 5 and 10, take each other's segments.
+_CASE_EDGES = np.array([
+    [[0, 0], [0, 0]], [[4, 1], [0, 0]], [[1, 2], [0, 0]], [[4, 2], [0, 0]],
+    [[2, 3], [0, 0]], [[4, 1], [2, 3]], [[1, 3], [0, 0]], [[3, 4], [0, 0]],
+    [[3, 4], [0, 0]], [[1, 3], [0, 0]], [[1, 2], [3, 4]], [[2, 3], [0, 0]],
+    [[4, 2], [0, 0]], [[1, 2], [0, 0]], [[4, 1], [0, 0]], [[0, 0], [0, 0]],
+])
+_CASE_EDGES = np.concatenate(
+    (_CASE_EDGES, _CASE_EDGES[[0, 1, 2, 3, 4, 10, 6, 7, 8, 9, 5, 11, 12, 13, 14, 15]])
+)
 
-_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+# Node offsets (da, db) of the two corners of each edge, by edge number; the
+# pad row 0 is never read.
+_EDGE_NODES = np.array([
+    [[0, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0], [1, 1]], [[1, 1], [0, 1]], [[0, 1], [0, 0]],
+])
 
 
 def extract_contour(values, grid: GridSpec, level: float) -> ContourSet:
@@ -146,7 +151,7 @@ def extract_contour(values, grid: GridSpec, level: float) -> ContourSet:
 
     A node with value exactly equal to the level counts as inside.  The two
     ambiguous saddle configurations are resolved by comparing the cell's mean
-    value against the level.
+    value against the level.  Segments come cell by cell in row-major order.
     """
     v = np.asarray(values, dtype=float)
     if v.shape != (grid.resolution_i, grid.resolution_j):
@@ -159,8 +164,6 @@ def extract_contour(values, grid: GridSpec, level: float) -> ContourSet:
     if not finite(level):
         raise ValueError(f"contour level must be finite, got {level!r}")
 
-    xs = grid.axis_i()
-    ys = grid.axis_j()
     inside = v >= level
     c0 = inside[:-1, :-1]
     c1 = inside[1:, :-1]
@@ -168,45 +171,20 @@ def extract_contour(values, grid: GridSpec, level: float) -> ContourSet:
     c3 = inside[:-1, 1:]
     mixed = ~((c0 & c1 & c2 & c3) | ~(c0 | c1 | c2 | c3))
 
-    segments = []
-    for a, b in np.argwhere(mixed):
-        corner_vals = (v[a, b], v[a + 1, b], v[a + 1, b + 1], v[a, b + 1])
-        corner_pts = (
-            (xs[a], ys[b]),
-            (xs[a + 1], ys[b]),
-            (xs[a + 1], ys[b + 1]),
-            (xs[a], ys[b + 1]),
-        )
-        mask = (
-            (corner_vals[0] >= level)
-            + 2 * (corner_vals[1] >= level)
-            + 4 * (corner_vals[2] >= level)
-            + 8 * (corner_vals[3] >= level)
-        )
-        if mask == 5 or mask == 10:
-            center_inside = (sum(corner_vals) / 4.0) >= level
-            if (mask == 5) == center_inside:
-                pairs = ((0, 1), (2, 3))
-            else:
-                pairs = ((3, 0), (1, 2))
-        else:
-            pairs = _CASE_SEGMENTS[mask]
-        for e_first, e_second in pairs:
-            segments.append(
-                (
-                    _edge_crossing(e_first, corner_vals, corner_pts, level),
-                    _edge_crossing(e_second, corner_vals, corner_pts, level),
-                )
-            )
-    return ContourSet(np.asarray(segments, dtype=float).reshape(-1, 2, 2), level)
-
-
-def _edge_crossing(edge, corner_vals, corner_pts, level):
-    i, j = _EDGE_CORNERS[edge]
-    vi, vj = corner_vals[i], corner_vals[j]
+    a, b = np.nonzero(mixed)
+    case = c0[a, b] + 2 * c1[a, b] + 4 * c2[a, b] + 8 * c3[a, b]
+    mean = (((v[a, b] + v[a + 1, b]) + v[a + 1, b + 1]) + v[a, b + 1]) / 4.0
+    edges = _CASE_EDGES[case + 16 * (mean >= level)]
+    cell, pair = np.nonzero(edges[:, :, 0])
+    # (segment, endpoint, corner of its edge): the nodes at both ends of each cut edge.
+    nodes = _EDGE_NODES[edges[cell, pair]]
+    node_a = a[cell, None, None] + nodes[..., 0]
+    node_b = b[cell, None, None] + nodes[..., 1]
+    vi, vj = np.moveaxis(v[node_a, node_b], -1, 0)
     t = (level - vi) / (vj - vi)
-    pi, pj = corner_pts[i], corner_pts[j]
-    return (pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1]))
+    xi, xj = np.moveaxis(grid.axis_i()[node_a], -1, 0)
+    yi, yj = np.moveaxis(grid.axis_j()[node_b], -1, 0)
+    return ContourSet(np.stack((xi + t * (xj - xi), yi + t * (yj - yi)), axis=-1), level)
 
 
 def _as_cloud(points, name):
@@ -329,6 +307,10 @@ def convergence_sweep(
     else:
         sampler = generator
 
+    if truth is not None:
+        nodes = grid_nodes(truth_grid)
+        actual = np.asarray(truth(nodes), dtype=bool)
+
     rows = []
     for m in m_values:
         for seed in seeds:
@@ -337,9 +319,7 @@ def convergence_sweep(
                         FitConfig(kernel, RECIPROCAL_M))
             area = None
             if truth is not None:
-                nodes = grid_nodes(truth_grid)
                 estimated = classify_batch(model, nodes)
-                actual = np.asarray(truth(nodes), dtype=bool)
                 area = symmetric_difference_area(estimated, actual, truth_grid)
             fresh = np.asarray(
                 sampler(fresh_size, child_seed(int(seed), _FRESH_STREAM)), dtype=float

@@ -1,9 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kernelreach
 from kernelreach import (
     BoxInitial,
     CwhSystem,
@@ -510,6 +515,11 @@ def _tora_doc():
      "field system.input_sequence[1][1] must be a number, got True"),    # value errors name their field, like the type errors above
     ("cwh", "fit", "kernel_family", "x", "field fit.kernel_family must be one of"),
     ("cwh", "fit", "bandwidth", -0.5, "field fit.bandwidth must be a positive finite number"),
+    # a grid range is exactly [low, high]
+    ("cwh", "grid", "range_i", [0.5], "field grid.range_i must hold exactly two numbers"),
+    ("cwh", "grid", "range_j", [], "field grid.range_j must hold exactly two numbers"),
+    ("cwh", "grid", "range_i", [0.0, 1.0, 7.0],
+     "field grid.range_i must hold exactly two numbers, got [0.0, 1.0, 7.0]"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -590,6 +600,28 @@ def test_fit_singular_samples_exits_4(tmp_path, capsys):
     assert not model.exists()
 
 
+def test_fit_out_of_memory_exits_4(tmp_path):
+    # the Gram matrix of 16,000 points (2.05 GB) exceeds the child's 1.5 GiB of
+    # address space, so its allocation fails at once and no memory is touched
+    limit = 3 << 29
+    samples = tmp_path / "samples.csv"
+    np.savetxt(samples, np.random.default_rng(0).uniform(size=(16000, 2)), delimiter=",",
+               header="x1,x2", comments="")
+    model = tmp_path / "model.json"
+    src = Path(kernelreach.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    result = subprocess.run(
+        [sys.executable, "-m", "kernelreach", "fit", "--samples", str(samples),
+         "--out", str(model)],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 4, result.stderr
+    assert result.stderr.startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in result.stderr
+    assert not model.exists()
+
+
 @pytest.mark.parametrize("section, key, value, expected", [
     ("layers.0", "weights", [0.0, 0.0, -1.0, -(10**400)],
      "field layers[0].weights[3] must be a finite double"),
@@ -638,6 +670,24 @@ def test_minimal_config_takes_dataclass_defaults(tmp_path, doc, system):
     config.write_text(json.dumps({**doc, "horizon": 5, "sample_size": 3, "master_seed": 0,
                                   "grid": _GRID}))
     assert load_run_config(config) == RunConfig(system, 3, 0, FitConfig(), GridSpec(**_GRID))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("range_i", [0.5]), ("range_i", []), ("range_j", [0.0, 1.0, 7.0]),
+])
+def test_contour_grid_range_of_wrong_length_exits_2(tmp_path, capsys, key, value):
+    samples = tmp_path / "one.csv"
+    samples.write_text("x1,x2\n0.0,0.0\n")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(model_path)]) == 0
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**_GRID, "fixed": [0.0, 0.0], key: value}))
+    capsys.readouterr()
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 2
+    assert f"error: {grid_path}: field {key} must hold exactly two numbers" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_contour_sidecar_grid_reads_back(tmp_path):

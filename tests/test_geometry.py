@@ -65,6 +65,10 @@ def test_gridspec_validation():
         GridSpec(0, 3, (0.0, 0.0), (0, 1), (0, 1))
     with pytest.raises(ValueError):
         GridSpec(0, 1, (0.0, 10**400), (0, 1), (0, 1))
+    with pytest.raises(ValueError, match="range_i must hold exactly two numbers"):
+        GridSpec(0, 1, (0.0, 0.0), (0, 1, 7), (0, 1))
+    with pytest.raises(ValueError, match="range_j must hold exactly two numbers"):
+        GridSpec(0, 1, (0.0, 0.0), (0, 1), (0.5,))
 
 
 def test_grid_values_single_point_closed_form():
@@ -202,6 +206,93 @@ def test_contour_rejects_bad_values():
     for level in (float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="contour level must be finite"):
             extract_contour(np.zeros((3, 3)), grid, level)
+
+
+# Segment endpoints per marching-squares case in the reference loop, saddles
+# excluded.  Corners are 0:(a,b) 1:(a+1,b) 2:(a+1,b+1) 3:(a,b+1); edges are
+# 0:(0-1) 1:(1-2) 2:(2-3) 3:(3-0).
+_REFERENCE_CASE_SEGMENTS = {
+    1: ((3, 0),), 2: ((0, 1),), 3: ((3, 1),), 4: ((1, 2),), 6: ((0, 2),), 7: ((2, 3),),
+    8: ((2, 3),), 9: ((0, 2),), 11: ((1, 2),), 12: ((3, 1),), 13: ((0, 1),), 14: ((3, 0),),
+}
+_REFERENCE_EDGE_CORNERS = ((0, 1), (1, 2), (2, 3), (3, 0))
+
+
+def _reference_edge_crossing(edge, corner_vals, corner_pts, level):
+    i, j = _REFERENCE_EDGE_CORNERS[edge]
+    vi, vj = corner_vals[i], corner_vals[j]
+    t = (level - vi) / (vj - vi)
+    pi, pj = corner_pts[i], corner_pts[j]
+    return (pi[0] + t * (pj[0] - pi[0]), pi[1] + t * (pj[1] - pi[1]))
+
+
+def _reference_contour(values, grid, level):
+    """The per-cell loop the table lookup replaced: one mixed cell at a time."""
+    v = np.asarray(values, dtype=float)
+    xs = grid.axis_i()
+    ys = grid.axis_j()
+    segments = []
+    for a in range(v.shape[0] - 1):
+        for b in range(v.shape[1] - 1):
+            corner_vals = (v[a, b], v[a + 1, b], v[a + 1, b + 1], v[a, b + 1])
+            corner_pts = ((xs[a], ys[b]), (xs[a + 1], ys[b]),
+                          (xs[a + 1], ys[b + 1]), (xs[a], ys[b + 1]))
+            mask = sum(1 << k for k, value in enumerate(corner_vals) if value >= level)
+            if mask == 0 or mask == 15:
+                continue
+            if mask == 5 or mask == 10:
+                center_inside = (sum(corner_vals) / 4.0) >= level
+                if (mask == 5) == center_inside:
+                    pairs = ((0, 1), (2, 3))
+                else:
+                    pairs = ((3, 0), (1, 2))
+            else:
+                pairs = _REFERENCE_CASE_SEGMENTS[mask]
+            for e_first, e_second in pairs:
+                segments.append((
+                    _reference_edge_crossing(e_first, corner_vals, corner_pts, level),
+                    _reference_edge_crossing(e_second, corner_vals, corner_pts, level),
+                ))
+    return np.asarray(segments, dtype=float).reshape(-1, 2, 2)
+
+
+_CONTOUR_VALUES = {
+    "uniform": lambda rng, shape: rng.uniform(size=shape),
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "ties": lambda rng, shape: rng.choice([0.0, 0.5, 1.0], size=shape),
+    "signed zeros": lambda rng, shape: rng.choice([-0.0, 0.0], size=shape),
+    "tiny": lambda rng, shape: rng.choice([-1e-300, -0.0, 0.0, 1e-300], size=shape),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CONTOUR_VALUES))
+def test_contour_matches_reference_loop_bitwise(kind):
+    # segments, their order and every bit of every endpoint equal the per-cell loop's
+    rng = np.random.default_rng(sorted(_CONTOUR_VALUES).index(kind))
+    shapes = [(2, 2), (2, 3), (3, 2), (5, 9), (17, 4), (12, 31), (45, 45)]
+    for res_i, res_j in shapes:
+        lo_i, lo_j = rng.uniform(-2.0, 0.0, size=2)
+        grid = GridSpec(0, 1, (0.0, 0.0), (lo_i, lo_i + rng.uniform(0.1, 3.0)),
+                        (lo_j, lo_j + rng.uniform(0.1, 3.0)), res_i, res_j)
+        values = _CONTOUR_VALUES[kind](rng, (res_i, res_j))
+        node = values[rng.integers(res_i), rng.integers(res_j)]
+        for level in (0.0, -0.0, 0.5, 1e-300, node, rng.uniform(values.min(), values.max())):
+            contour = extract_contour(values, grid, level)
+            expected = _reference_contour(values, grid, level)
+            assert contour.level is level
+            assert contour.segments.shape == expected.shape
+            assert contour.segments.tobytes() == expected.tobytes()
+
+
+def test_contour_saddle_mean_sums_corners_in_order():
+    # summed corner by corner, 0 to 3, this saddle's mean reaches the level; summed
+    # in pairs it falls one bit short, and the cell takes the other edge pairing
+    grid = _unit_square_grid(res=2)
+    values = np.array([[0.8, 0.2], [0.05, 0.6]])
+    level = 0.41250000000000003
+    assert ((0.8 + 0.6) + (0.05 + 0.2)) / 4.0 < level
+    contour = extract_contour(values, grid, level)
+    assert contour.segments.tobytes() == _reference_contour(values, grid, level).tobytes()
 
 
 # ---------------------------------------------------------------------------
