@@ -37,8 +37,9 @@ from .geometry import (
     write_sweep_csv,
 )
 from .kernels import KernelSpec
-from .schema import ConfigError, build, json_object, load_json, split_fields, typed
+from .schema import ConfigError, FieldError, build, json_object, load_json, split_fields, typed
 from .systems import (
+    STATE_DIM,
     BoxInitial,
     CwhSystem,
     GaussianDisturbance,
@@ -70,7 +71,11 @@ class RunConfig:
 
     def __post_init__(self):
         if self.sample_size < 1:
-            raise ValueError("sample_size must be at least 1")
+            raise FieldError("sample_size", f"must be at least 1, got {self.sample_size}")
+        if self.grid is not None and self.grid.dim != STATE_DIM:
+            raise FieldError(
+                "grid.fixed", f"gives dimension {self.grid.dim}, but the state has {STATE_DIM}"
+            )
 
 
 # What a config section builds, by its "kind" field.
@@ -299,9 +304,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

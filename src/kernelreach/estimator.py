@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
-from .kernels import KernelSpec, _as_points, gram, kernel_matrix
+from .kernels import KernelSpec, _as_points, _read_only_copy, gram, kernel_matrix
 from .schema import ConfigError, FieldError, build, finite, json_object, load_json
 
 RECIPROCAL_M = "reciprocal-m"
@@ -54,8 +54,7 @@ class SampleSet:
 
     def __post_init__(self):
         pts = _as_points(self.points, "sample points")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _read_only_copy(pts))
 
     @property
     def size(self) -> int:
@@ -110,8 +109,9 @@ class SupportModel:
 
     def __post_init__(self):
         # The query loop trusts the support, so a model built directly is checked here.
-        object.__setattr__(self, "support", _as_points(self.support, "support points"))
-        for arr in (self.support, self.factor, self.train_values):
+        support = _as_points(self.support, "support points")
+        object.__setattr__(self, "support", _read_only_copy(support))
+        for arr in (self.factor, self.train_values):
             arr.flags.writeable = False
 
     @property
@@ -188,7 +188,7 @@ def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
     """
     lam = config.resolve_lambda(samples.size)
     factor, train_values = _factorize(config.kernel, samples.points, lam)
-    return SupportModel(samples.points.copy(), config.kernel, lam, factor, train_values)
+    return SupportModel(samples.points, config.kernel, lam, factor, train_values)
 
 
 def _as_queries(model: SupportModel, points) -> np.ndarray:

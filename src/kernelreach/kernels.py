@@ -95,6 +95,13 @@ def _as_points(points, name) -> np.ndarray:
     return arr
 
 
+def _read_only_copy(values) -> np.ndarray:
+    """A read-only float copy of ``values``: the caller's array stays writable and apart."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """K(x, y) for two nonempty state vectors of one length; always in (0, 1].
 

@@ -137,9 +137,12 @@ def build(factory, doc, path, where, sections=None, names=None, **given):
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
         keys = {param.name: key for key, param in params.items()}
-        if isinstance(exc, FieldError) and exc.field in keys:
+        # a FieldError may name a field inside a section, such as initial.x
+        field = exc.field if isinstance(exc, FieldError) else ""
+        head, dot, rest = field.partition(".")
+        if head in keys:
             raise ConfigError(
-                f"{path}: field {_dotted(where, keys[exc.field])} {exc.problem}"
+                f"{path}: field {_dotted(where, keys[head])}{dot}{rest} {exc.problem}"
             ) from exc
         raise ConfigError(f"{path}: {where + ': ' if where else ''}{exc}") from exc
 

@@ -29,11 +29,15 @@ import numpy as np
 
 from .atomic import atomic_write
 from .estimator import SampleSet
-from .schema import build, load_json, typed
+from .kernels import _read_only_copy
+from .schema import FieldError, build, load_json, typed
 
 # Admissible thrust box for the CWH system: each input coordinate must lie
 # in [-CWH_INPUT_LIMIT, CWH_INPUT_LIMIT].
 CWH_INPUT_LIMIT = 0.1
+
+# Both built-in systems step a 4-d state.
+STATE_DIM = 4
 
 # Default open-loop CWH policy: constant small thrust toward the docking
 # target at the origin (the built-in initial condition sits at negative x, y).
@@ -152,14 +156,15 @@ class ScaledBetaDisturbance:
     mask: tuple[bool, ...] = None
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0):
-            raise ValueError("beta shape parameters must be positive")
+        for name in ("alpha", "beta"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
         if self.dims < 1:
-            raise ValueError("dims must be at least 1")
+            raise FieldError("dims", f"must be at least 1, got {self.dims}")
         if self.mask is not None:
             mask = tuple(bool(v) for v in self.mask)
             if len(mask) != self.dims:
-                raise ValueError("mask length must equal dims")
+                raise FieldError("mask", f"must hold dims = {self.dims} flags, got {len(mask)}")
             object.__setattr__(self, "mask", mask)
 
     def sample(self, rng, dim: int, steps: int) -> np.ndarray:
@@ -202,18 +207,19 @@ class MlpLayer:
     activation: str
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bias, dtype=float)
-        if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.size:
-            raise ValueError("layer weights must be (out, in) with a matching bias vector")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
-            raise ValueError("layer parameters must be finite")
+        w = _read_only_copy(self.weights)
+        b = _read_only_copy(self.bias)
+        if w.ndim != 2:
+            raise FieldError("weights", f"must be an (out, in) matrix, got shape {w.shape}")
+        if b.shape != w.shape[:1]:
+            raise FieldError("bias", f"must hold one number per weight row, got shape {b.shape}")
+        for name, arr in (("weights", w), ("bias", b)):
+            if not np.all(np.isfinite(arr)):
+                raise FieldError(name, "must be finite")
         if self.activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"unknown activation {self.activation!r}; expected one of {sorted(_ACTIVATIONS)}"
+            raise FieldError(
+                "activation", f"must be one of {sorted(_ACTIVATIONS)}, got {self.activation!r}"
             )
-        w.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "bias", b)
 
@@ -228,7 +234,7 @@ class MlpController:
     def __post_init__(self):
         layers = tuple(self.layers)
         if not layers:
-            raise ValueError("controller needs at least one layer")
+            raise FieldError("layers", "must hold at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
                 raise ValueError(
@@ -236,12 +242,10 @@ class MlpController:
                 )
         object.__setattr__(self, "layers", layers)
         if self.saturation is not None:
-            lo = np.asarray(self.saturation[0], dtype=float)
-            hi = np.asarray(self.saturation[1], dtype=float)
+            lo = _read_only_copy(self.saturation[0])
+            hi = _read_only_copy(self.saturation[1])
             if lo.shape != hi.shape or lo.size != self.output_dim or np.any(lo > hi):
-                raise ValueError("saturation box must give lo <= hi per output coordinate")
-            lo.flags.writeable = False
-            hi.flags.writeable = False
+                raise FieldError("saturation", "must give lo <= hi per output coordinate")
             object.__setattr__(self, "saturation", (lo, hi))
 
     @property
@@ -260,6 +264,11 @@ class SaturatedFeedback:
     k1: float = 1.0
     k2: float = 1.0
     saturation: float = 1.0
+
+    def __post_init__(self):
+        # a negative bound would clamp every control to that bound
+        if not self.saturation >= 0:
+            raise FieldError("saturation", f"must be nonnegative, got {self.saturation!r}")
 
 
 def _matvec(weights: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -335,7 +344,9 @@ def load_mlp_controller(path) -> MlpController:
     def layer(weights: tuple, rows: int, cols: int, bias: tuple, activation: str):
         flat = np.asarray(weights, dtype=float)
         if flat.shape != (rows * cols,):
-            raise ValueError(f"weights hold {flat.size} values, expected rows*cols {rows * cols}")
+            raise FieldError(
+                "weights", f"holds {flat.size} values, expected rows*cols {rows * cols}"
+            )
         return MlpLayer(flat.reshape(rows, cols), bias, activation)
 
     def layer_list(value, where):
@@ -385,13 +396,13 @@ class CwhSystem:
     input_sequence: tuple = None
 
     def __post_init__(self):
-        if not (self.omega > 0 and self.mass > 0 and self.dt > 0):
-            raise ValueError("omega, mass, and dt must be positive")
+        for name in ("omega", "mass", "dt"):
+            if not getattr(self, name) > 0:
+                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
         if self.input_sequence is not None:
-            seq = np.asarray(self.input_sequence, dtype=float)
+            seq = _read_only_copy(self.input_sequence)
             if seq.ndim != 2 or seq.shape[1] != 2 or not np.all(np.isfinite(seq)):
-                raise ValueError("input_sequence must be a finite (N, 2) array")
-            seq.flags.writeable = False
+                raise FieldError("input_sequence", "must be a finite (N, 2) array")
             object.__setattr__(self, "input_sequence", seq)
 
     def resolved_inputs(self, horizon: int) -> np.ndarray:
@@ -413,14 +424,16 @@ class ToraSystem:
     integrator_substeps: int = 10
 
     def __post_init__(self):
-        if self.control_period <= 0:
-            raise ValueError("control_period must be positive")
+        if not self.control_period > 0:
+            raise FieldError("control_period", f"must be positive, got {self.control_period!r}")
         if self.integrator_substeps < 1:
-            raise ValueError("integrator_substeps must be at least 1")
+            raise FieldError(
+                "integrator_substeps", f"must be at least 1, got {self.integrator_substeps}"
+            )
         net = self.controller
         if isinstance(net, MlpController) and (net.input_dim, net.output_dim) != (4, 1):
-            raise ValueError(
-                "TORA controller must map the 4-d state to a scalar control, got "
+            raise FieldError(
+                "controller", "must map the 4-d state to a scalar control, got "
                 f"{net.input_dim} inputs and {net.output_dim} outputs"
             )
 
@@ -444,13 +457,24 @@ class BoxInitial:
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)
         hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or any(a > b for a, b in zip(lo, hi)):
-            raise ValueError("initial box needs lo <= hi per coordinate")
+        if len(hi) != len(lo):
+            raise FieldError("hi", f"must hold as many numbers as lo ({len(lo)}), got {len(hi)}")
+        if any(a > b for a, b in zip(lo, hi)):
+            raise FieldError("lo", "must be <= hi in every coordinate")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     def draw(self, rng) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
+
+
+# The field that sets the dimension of each built-in initial condition and disturbance.
+_DIMENSION_FIELDS = {
+    PointInitial: "x",
+    BoxInitial: "lo",
+    GaussianDisturbance: "mean",
+    ScaledBetaDisturbance: "dims",
+}
 
 
 @dataclass(frozen=True)
@@ -464,7 +488,17 @@ class SystemConfig:
 
     def __post_init__(self):
         if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
+            raise FieldError("horizon", f"must be at least 1, got {self.horizon}")
+        for section in ("initial", "disturbance"):
+            part = getattr(self, section)
+            key = _DIMENSION_FIELDS.get(type(part))
+            if key is not None:
+                value = getattr(part, key)
+                dim = value if key == "dims" else len(value)
+                if dim != STATE_DIM:
+                    raise FieldError(
+                        f"{section}.{key}", f"gives dimension {dim}, but the state has {STATE_DIM}"
+                    )
 
 
 # ---------------------------------------------------------------------------

@@ -520,6 +520,25 @@ def _tora_doc():
     ("cwh", "grid", "range_j", [], "field grid.range_j must hold exactly two numbers"),
     ("cwh", "grid", "range_i", [0.0, 1.0, 7.0],
      "field grid.range_i must hold exactly two numbers, got [0.0, 1.0, 7.0]"),
+    # sections that carry a dimension are checked against the 4-d state when the config loads
+    ("cwh", "grid", "fixed", [-0.585, -0.595, 0.0034],
+     "field grid.fixed gives dimension 3, but the state has 4"),
+    ("cwh", "initial", "x", [-0.75, -0.75, 0.0],
+     "field initial.x gives dimension 3, but the state has 4"),
+    ("tora", "initial", "hi", [0.7, -0.6, -0.3],
+     "field initial.hi must hold as many numbers as lo (4), got 3"),
+    ("cwh", "", "disturbance",
+     {"kind": "gaussian", "mean": [0.0, 0.0], "covariance_diagonal": [1e-4, 1e-4]},
+     "field disturbance.mean gives dimension 2, but the state has 4"),
+    ("tora", "disturbance", "dims", 2,
+     "field disturbance.dims gives dimension 2, but the state has 4"),
+    # a negative bound would clamp every control to it
+    ("tora", "system.controller", "saturation", -1.0,
+     "field system.controller.saturation must be nonnegative, got -1.0"),
+    # range checks name their field too
+    ("cwh", "system", "mass", 0.0, "field system.mass must be positive, got 0.0"),
+    ("tora", "system", "control_period", -0.1, "field system.control_period must be positive"),
+    ("cwh", "", "horizon", 0, "field horizon must be at least 1, got 0"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated

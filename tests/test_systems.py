@@ -9,6 +9,7 @@ from kernelreach import (
     BoxInitial,
     CwhSystem,
     GaussianDisturbance,
+    KernelSpec,
     MlpController,
     MlpLayer,
     NoDisturbance,
@@ -16,6 +17,7 @@ from kernelreach import (
     SampleSet,
     SaturatedFeedback,
     ScaledBetaDisturbance,
+    SupportModel,
     SystemConfig,
     ToraSystem,
     child_seed,
@@ -33,6 +35,7 @@ from kernelreach import (
     simulate_trajectory,
     tora_derivative,
 )
+from kernelreach.schema import ConfigError, FieldError
 
 CWH_DEFAULTS = dict(omega=0.00113, mass=300.0, dt=20.0)
 
@@ -363,6 +366,15 @@ def test_tora_checks_the_controller_width():
         net = MlpController((MlpLayer(weights, np.zeros(weights.shape[0]), "linear"),))
         with pytest.raises(ValueError, match="4-d state to a scalar control"):
             ToraSystem(controller=net)
+
+
+def test_tora_saturation_bound_is_nonnegative():
+    with pytest.raises(FieldError, match="^saturation must be nonnegative, got -1.0"):
+        SaturatedFeedback(saturation=-1.0)
+    # a zero bound is valid: every control is 0, so x4, whose derivative is the control, stays put
+    x0 = np.array([0.65, -0.65, -0.35, 0.55])
+    config = _tora_config(horizon=3, controller=SaturatedFeedback(saturation=0.0))
+    assert np.all(simulate_trajectory(config, x0, seed=0)[:, 3] == x0[3])
 
 
 def test_tora_builtin_feedback_envelope():
@@ -832,3 +844,112 @@ def test_sample_csv_rejects_empty(tmp_path):
     path.write_text("x1,x2\n")
     with pytest.raises(ValueError, match="no data rows"):
         load_sample_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Range checks
+# ---------------------------------------------------------------------------
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
+
+
+_LINEAR = MlpLayer(np.eye(2), np.zeros(2), "linear")
+_NET_FILE = (
+    '{"input_dim": 4, "output_dim": 1, "layers": [{"weights": [0.0, 0.0, -1.0, -1.0], '
+    '"rows": 2, "cols": 4, "bias": [0.0, 0.0], "activation": "linear"}]}'
+)
+
+
+# name -> (the error, what its message says, a call that raises it in a scratch directory)
+_RANGE_CASES = {
+    "beta-dims": (FieldError, "dims must be at least 1",
+                  lambda _: ScaledBetaDisturbance(dims=0)),
+    "beta-mask": (FieldError, "mask must hold dims = 4 flags, got 1",
+                  lambda _: ScaledBetaDisturbance(mask=(True,))),
+    "beta-sample-dim": (ValueError, "disturbance dimension 4 does not match state dimension 3",
+                        lambda _: ScaledBetaDisturbance().sample(np.random.default_rng(0), 3, 1)),
+    "layer-weights-shape": (FieldError, "weights must be an (out, in) matrix",
+                            lambda _: MlpLayer(np.ones(2), np.zeros(2), "linear")),
+    "layer-bias-shape": (FieldError, "bias must hold one number per weight row",
+                         lambda _: MlpLayer(np.ones((2, 3)), np.zeros(3), "linear")),
+    "layer-weights-finite": (FieldError, "weights must be finite",
+                             lambda _: MlpLayer([[np.nan]], np.zeros(1), "linear")),
+    "layer-bias-finite": (FieldError, "bias must be finite",
+                          lambda _: MlpLayer(np.ones((1, 1)), [np.inf], "linear")),
+    "controller-no-layers": (FieldError, "layers must hold at least one layer",
+                             lambda _: MlpController(())),
+    "controller-box-order": (FieldError, "saturation must give lo <= hi",
+                             lambda _: MlpController((_LINEAR,), ([1.0, 0.0], [0.0, 0.0]))),
+    "controller-box-size": (FieldError, "saturation must give lo <= hi",
+                            lambda _: MlpController((_LINEAR,), ([0.0], [1.0]))),
+    "weight-file-rows-cols": (ConfigError, "layers[0].weights holds 4 values, expected rows*cols 8",
+                              lambda tmp: load_mlp_controller(_write(tmp / "net.json", _NET_FILE))),
+    "cwh-omega": (FieldError, "omega must be positive, got 0.0",
+                  lambda _: CwhSystem(omega=0.0)),
+    "cwh-mass": (FieldError, "mass must be positive, got -300.0",
+                 lambda _: CwhSystem(mass=-300.0)),
+    "cwh-dt": (FieldError, "dt must be positive, got 0",
+               lambda _: CwhSystem(dt=0)),
+    "cwh-input-sequence": (FieldError, "input_sequence must be a finite (N, 2) array",
+                           lambda _: CwhSystem(input_sequence=np.zeros((5, 3)))),
+    "tora-control-period": (FieldError, "control_period must be positive",
+                            lambda _: ToraSystem(control_period=0.0)),
+    "tora-substeps": (FieldError, "integrator_substeps must be at least 1, got 0",
+                      lambda _: ToraSystem(integrator_substeps=0)),
+    "box-lo-above-hi": (FieldError, "lo must be <= hi in every coordinate",
+                        lambda _: BoxInitial((0.0, 1.0), (0.5, 0.5))),
+    "horizon": (FieldError, "horizon must be at least 1, got 0",
+                lambda _: _cwh_config(horizon=0)),
+    "cwh-matrices-dt": (ValueError, "dt must be nonnegative",
+                        lambda _: cwh_discrete_matrices(0.00113, 300.0, -1.0)),
+    "cwh-step-control": (ValueError, "CWH control must be a 2-vector",
+                         lambda _: cwh_step(np.eye(4), np.zeros((4, 2)), np.zeros(4),
+                                            np.zeros(3), np.zeros(4))),
+    "tora-derivative-state": (ValueError, "TORA state must be a 4-vector",
+                              lambda _: tora_derivative(np.zeros(3), 0.0)),
+    "steps-initial-shape": (ValueError, "state must be a 4-vector",
+                            lambda _: simulate_trajectory(_cwh_config(), np.zeros(3), seed=0)),
+    "steps-initial-finite": (ValueError, "initial state has non-finite entries",
+                             lambda _: simulate_trajectory(_tora_config(), [0, np.nan, 0, 0], 0)),
+    "csv-header": (ValueError, "has a malformed header",
+                   lambda tmp: load_sample_csv(_write(tmp / "s.csv", "x1, ,x3\n1,2,3\n"))),
+    "csv-non-finite": (ValueError, "contains non-finite values",
+                       lambda tmp: load_sample_csv(_write(tmp / "s.csv", "x1,x2\n1.0,inf\n"))),
+}
+
+
+@pytest.mark.parametrize("name", list(_RANGE_CASES))
+def test_range_checks_reject_out_of_range_values(tmp_path, name):
+    error, expected, call = _RANGE_CASES[name]
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert expected in str(info.value)
+    if error is FieldError:
+        assert str(info.value).startswith(expected)  # it names the field at fault
+
+
+# Constructors that keep arrays: each builds one from a (2, 2) array and returns what it kept.
+_KEEPERS = {
+    "SampleSet": lambda a: [SampleSet(a).points],
+    "SupportModel": lambda a: [SupportModel(a, KernelSpec(), 0.5, np.eye(2), np.ones(2)).support],
+    "MlpLayer": lambda a: [MlpLayer(a, np.zeros(2), "linear").weights],
+    "MlpController": lambda a: list(MlpController((_LINEAR,), saturation=(a[0], a[1])).saturation),
+    "CwhSystem": lambda a: [CwhSystem(input_sequence=a).input_sequence],
+}
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["array", "column-view"])
+@pytest.mark.parametrize("keeper", list(_KEEPERS))
+def test_constructors_keep_a_read_only_copy(keeper, view):
+    # the caller's array stays writable, and writing it or its base leaves the object as built
+    values = np.array([[-0.05, -0.02], [0.03, 0.05]])
+    base = np.hstack([values, values]) if view else values.copy()
+    arr = base[:, :2] if view else base
+    kept = _KEEPERS[keeper](arr)
+    assert arr.flags.writeable and not any(k.flags.writeable for k in kept)
+    arr[0, 0] = 1.0
+    base[1, 1] = 1.0
+    assert np.array_equal(np.vstack(kept), values.reshape(-1, 2))
