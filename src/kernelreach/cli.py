@@ -72,6 +72,8 @@ class RunConfig:
     def __post_init__(self):
         if self.sample_size < 1:
             raise FieldError("sample_size", f"must be at least 1, got {self.sample_size}")
+        if self.master_seed < 0:
+            raise FieldError("master_seed", f"must be nonnegative, got {self.master_seed}")
         if self.grid is not None and self.grid.dim != STATE_DIM:
             raise FieldError(
                 "grid.fixed", f"gives dimension {self.grid.dim}, but the state has {STATE_DIM}"
@@ -148,6 +150,8 @@ def _parse_int_list(text, flag):
 
 def cmd_simulate(args) -> int:
     config = load_run_config(args.config)
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     seed = config.master_seed if args.seed is None else args.seed
     start = time.perf_counter()
     samples = sample_terminal_states(config.system, config.sample_size, seed)
@@ -242,6 +246,8 @@ def cmd_sweep(args) -> int:
     seeds = _parse_int_list(args.seeds, "--seeds")
     if not m_list or not seeds:
         raise ConfigError("--m-list and --seeds must be nonempty")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds must be nonnegative, got {args.seeds!r}")
     start = time.perf_counter()
     rows = convergence_sweep(config.system, m_list, seeds, kernel=config.fit.kernel)
     elapsed = time.perf_counter() - start

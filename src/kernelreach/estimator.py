@@ -287,10 +287,10 @@ def load_model(path) -> SupportModel:
         config = FitConfig(KernelSpec(family, bandwidth), regularization)
         points = np.asarray(support, dtype=float)
         if m < 1 or n < 1 or points.shape != (m * n,):
-            raise ValueError(f"field support holds {points.size} values, expected m*n = {m * n}")
+            raise FieldError("support", f"holds {points.size} values, expected m*n = {m * n}")
         points = points.reshape(m, n)
         if _support_checksum(points) != checksum:
-            raise ValueError("field support fails its checksum")
+            raise FieldError("support", "fails its checksum")
         return config, points, tau
 
     config, support, tau = build(

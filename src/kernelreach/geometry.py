@@ -57,15 +57,19 @@ class GridSpec:
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "range_i", (float(self.range_i[0]), float(self.range_i[1])))
         object.__setattr__(self, "range_j", (float(self.range_j[0]), float(self.range_j[1])))
-        n = len(fixed)
-        if not (0 <= self.dim_i < n and 0 <= self.dim_j < n):
-            raise ValueError("grid coordinate indices fall outside the state dimension")
+        for name in ("dim_i", "dim_j"):
+            index = getattr(self, name)
+            if not 0 <= index < len(fixed):
+                raise FieldError(name, f"must index a coordinate of fixed, got {index}")
         if self.dim_i == self.dim_j:
-            raise ValueError("grid coordinates must differ")
-        if self.resolution_i < 2 or self.resolution_j < 2:
-            raise ValueError("grid resolutions must be at least 2")
-        if not (self.range_i[0] < self.range_i[1] and self.range_j[0] < self.range_j[1]):
-            raise ValueError("grid ranges must be nondegenerate")
+            raise FieldError("dim_j", f"must differ from dim_i, got {self.dim_j} for both")
+        for name in ("resolution_i", "resolution_j"):
+            if getattr(self, name) < 2:
+                raise FieldError(name, f"must be at least 2, got {getattr(self, name)}")
+        for name in ("range_i", "range_j"):
+            low, high = getattr(self, name)
+            if not low < high:
+                raise FieldError(name, f"must run from low to high, got [{low}, {high}]")
 
     @property
     def dim(self) -> int:

@@ -102,7 +102,8 @@ def build(factory, doc, path, where, sections=None, names=None, **given):
     must be JSON of its annotation's type.  Defaults and value checks are the
     factory's own, and a JSON null means the default.  An unknown, missing,
     mistyped or, by a FieldError of the factory, rejected field is a
-    ConfigError that names the file and the dotted field.
+    ConfigError that names the file and the dotted field; a ConfigError of
+    the factory, which names its own file, passes unchanged.
     """
     doc = json_object(doc, path, where)
     if isinstance(factory, dict):
@@ -135,6 +136,8 @@ def build(factory, doc, path, where, sections=None, names=None, **given):
             raise ConfigError(f"{path}: missing field {_dotted(where, key)}")
     try:
         return factory(**kwargs)
+    except ConfigError:
+        raise  # it names its own file, such as an MLP weight file
     except (TypeError, ValueError) as exc:
         keys = {param.name: key for key, param in params.items()}
         # a FieldError may name a field inside a section, such as initial.x

@@ -91,15 +91,15 @@ def child_seed(master_seed: int, index: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# A disturbance's ``sample(rng, dim, steps)`` returns the (steps, dim) draws of
-# that many control steps and consumes the Generator as that many one-step calls
-# would: numpy draws normal and gamma variates element by element, row-major.
+# A disturbance's ``sample(rng, steps)`` returns the (steps, width) draws of that
+# many control steps at its own width, which a SystemConfig checks, consuming the
+# Generator as one-step calls would: numpy draws variates element by element, row-major.
 
 
 @dataclass(frozen=True)
 class NoDisturbance:
-    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
-        return np.zeros((steps, dim))
+    def sample(self, rng, steps: int) -> np.ndarray:
+        return np.zeros((steps, STATE_DIM))
 
 
 @dataclass(frozen=True)
@@ -116,11 +116,11 @@ class GaussianDisturbance:
         mean = np.array(self.mean, dtype=float)
         var = np.array(self.covariance_diagonal, dtype=float)
         if mean.ndim != 1 or mean.shape != var.shape:
-            raise ValueError("mean and covariance diagonal must be 1-d vectors of equal length")
+            raise FieldError("covariance_diagonal", "and mean must be 1-d vectors of equal length")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
             raise ValueError("Gaussian parameters must be finite")
         if np.any(var < 0):
-            raise ValueError("covariance diagonal entries must be nonnegative")
+            raise FieldError("covariance_diagonal", f"must be nonnegative, got {var.tolist()}")
         object.__setattr__(self, "mean", tuple(mean.tolist()))
         object.__setattr__(self, "covariance_diagonal", tuple(var.tolist()))
         sd = np.sqrt(var)
@@ -129,12 +129,8 @@ class GaussianDisturbance:
         object.__setattr__(self, "_mean", mean)
         object.__setattr__(self, "_sd", sd)
 
-    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
-        if dim != len(self.mean):
-            raise ValueError(
-                f"disturbance dimension {len(self.mean)} does not match state dimension {dim}"
-            )
-        return self._mean + self._sd * rng.standard_normal((steps, dim))
+    def sample(self, rng, steps: int) -> np.ndarray:
+        return self._mean + self._sd * rng.standard_normal((steps, self._mean.size))
 
 
 @dataclass(frozen=True)
@@ -167,14 +163,10 @@ class ScaledBetaDisturbance:
                 raise FieldError("mask", f"must hold dims = {self.dims} flags, got {len(mask)}")
             object.__setattr__(self, "mask", mask)
 
-    def sample(self, rng, dim: int, steps: int) -> np.ndarray:
-        if dim != self.dims:
-            raise ValueError(
-                f"disturbance dimension {self.dims} does not match state dimension {dim}"
-            )
-        # each step draws dim gamma(alpha) variates, then dim gamma(beta) ones
-        g = rng.gamma(np.tile(np.repeat([self.alpha, self.beta], dim), (steps, 1)))
-        g1, g2 = g[:, :dim], g[:, dim:]
+    def sample(self, rng, steps: int) -> np.ndarray:
+        # each step draws dims gamma(alpha) variates, then dims gamma(beta) ones
+        g = rng.gamma(np.tile(np.repeat([self.alpha, self.beta], self.dims), (steps, 1)))
+        g1, g2 = g[:, :self.dims], g[:, self.dims:]
         draw = self.scale * g1 / (g1 + g2)
         if self.mask is not None:
             draw = draw * np.array(self.mask, dtype=float)
@@ -184,14 +176,14 @@ class ScaledBetaDisturbance:
 def sample_gaussian(mean, covariance_diagonal, rng, size=None):
     """One ``GaussianDisturbance`` draw (dim,), or a (size, dim) matrix of them."""
     spec = GaussianDisturbance(mean, covariance_diagonal)
-    draws = spec.sample(rng, len(spec.mean), 1 if size is None else int(size))
+    draws = spec.sample(rng, 1 if size is None else int(size))
     return draws[0] if size is None else draws
 
 
 def sample_scaled_beta(alpha, beta, scale, rng, size=None):
     """One scale * Beta(alpha, beta) draw, or a (size,) vector of them."""
     dims = 1 if size is None else int(size)
-    draws = ScaledBetaDisturbance(alpha, beta, scale, dims).sample(rng, dims, 1)[0]
+    draws = ScaledBetaDisturbance(alpha, beta, scale, dims).sample(rng, 1)[0]
     return draws[0] if size is None else draws
 
 
@@ -237,8 +229,8 @@ class MlpController:
             raise FieldError("layers", "must hold at least one layer")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.weights.shape[1] != prev.weights.shape[0]:
-                raise ValueError(
-                    f"layer dimensions do not chain: {prev.weights.shape} then {nxt.weights.shape}"
+                raise FieldError(
+                    "layers", f"do not chain: {prev.weights.shape} then {nxt.weights.shape}"
                 )
         object.__setattr__(self, "layers", layers)
         if self.saturation is not None:
@@ -358,11 +350,11 @@ def load_mlp_controller(path) -> MlpController:
 
     def controller(input_dim: int, output_dim: int, layers: tuple, saturation: tuple = None):
         net = MlpController(layers, saturation)
-        if (net.input_dim, net.output_dim) != (input_dim, output_dim):
-            raise ValueError(
-                "declared input_dim/output_dim do not match the layer shapes: "
-                f"{input_dim}->{output_dim} vs {net.input_dim}->{net.output_dim}"
-            )
+        for name, declared in (("input_dim", input_dim), ("output_dim", output_dim)):
+            if declared != getattr(net, name):
+                raise FieldError(
+                    name, f"is declared as {declared}, but the layers give {getattr(net, name)}"
+                )
         return net
 
     sections = {"layers": layer_list, "saturation": lambda v, w: build(box, v, path, w)}
@@ -386,8 +378,9 @@ class CwhSystem:
 
     The default orbital rate, spacecraft mass, and sampling period are
     standard low-Earth-orbit rendezvous values; all are overridable.
-    ``input_sequence`` is an (N, 2) thrust schedule inside the admissible
-    box; None selects the constant default thrust toward the target.
+    ``input_sequence`` is an (N, 2) thrust schedule; None selects the
+    constant default thrust toward the target.  A ``SystemConfig`` checks
+    that the schedule covers its horizon inside the admissible box.
     """
 
     omega: float = 0.00113
@@ -406,12 +399,9 @@ class CwhSystem:
             object.__setattr__(self, "input_sequence", seq)
 
     def resolved_inputs(self, horizon: int) -> np.ndarray:
+        """The thrust of steps 0..horizon-1; unchecked, as ``SystemConfig`` checks the schedule."""
         if self.input_sequence is None:
             return np.full((horizon, 2), DEFAULT_CWH_THRUST)
-        if self.input_sequence.shape[0] < horizon:
-            raise ValueError(
-                f"input_sequence has {self.input_sequence.shape[0]} steps, horizon needs {horizon}"
-            )
         return self.input_sequence[:horizon]
 
 
@@ -479,7 +469,7 @@ _DIMENSION_FIELDS = {
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """A simulatable system: dynamics, horizon, disturbance, initial condition."""
+    """A simulatable system (dynamics, horizon, disturbance, initial), checked when built."""
 
     system: object
     horizon: int
@@ -499,6 +489,19 @@ class SystemConfig:
                     raise FieldError(
                         f"{section}.{key}", f"gives dimension {dim}, but the state has {STATE_DIM}"
                     )
+        if not isinstance(self.system, (CwhSystem, ToraSystem)):
+            raise FieldError(
+                "system", f"cannot simulate a {type(self.system).__name__}; "
+                "expected a CwhSystem or ToraSystem"
+            )
+        seq = getattr(self.system, "input_sequence", None)  # a CWH thrust schedule
+        if seq is not None and seq.shape[0] < self.horizon:
+            raise FieldError(
+                "system.input_sequence", f"has {seq.shape[0]} steps, so step "
+                f"{seq.shape[0]} of horizon {self.horizon} is missing"
+            )
+        if seq is not None:
+            _check_cwh_controls(seq[:self.horizon], "system.input_sequence")
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +545,14 @@ def cwh_discrete_matrices(omega: float, mass: float, dt: float):
     return a, b
 
 
-def _check_cwh_controls(controls: np.ndarray) -> None:
-    """Reject a thrust schedule (K, 2) with any entry outside the admissible box."""
+def _check_cwh_controls(controls: np.ndarray, field: str = "control") -> None:
+    """Reject a thrust schedule (K, 2) that leaves the admissible box; name ``field``, step."""
     # NaN fails the comparison too, so non-finite thrust is rejected here
     outside = np.flatnonzero(~np.all(np.abs(controls) <= CWH_INPUT_LIMIT, axis=1))
     if outside.size:
         k = outside[0]
-        raise ValueError(
-            f"control {controls[k]} at step {k} lies outside the admissible box "
+        raise FieldError(
+            field, f"{controls[k]} at step {k} lies outside the admissible box "
             f"[-{CWH_INPUT_LIMIT}, {CWH_INPUT_LIMIT}]^2"
         )
 
@@ -604,6 +607,7 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
     Generator, drawn from in step order, ``_NOISE_STEPS`` steps per call.
     Every operation acts on each sample separately, so row i is bitwise
     equal to sample i stepped on its own: the batch never couples samples.
+    The built ``config`` is trusted: only ``x0`` and divergence are checked.
     """
     system = config.system
     horizon = config.horizon
@@ -616,17 +620,16 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
         # the (M, 4) disturbance of each step; no draw runs past the horizon
         for start in range(0, horizon, _NOISE_STEPS):
             steps = min(_NOISE_STEPS, horizon - start)
-            yield from np.stack([config.disturbance.sample(r, 4, steps) for r in rngs], axis=1)
+            yield from np.stack([config.disturbance.sample(r, steps) for r in rngs], axis=1)
 
     if isinstance(system, CwhSystem):
         a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
-        inputs = system.resolved_inputs(horizon)
-        _check_cwh_controls(inputs)
         x = x0
-        for u, w in zip(inputs, noise()):
-            x = cwh_step(a, b, x, u, w)
+        for u, w in zip(system.resolved_inputs(horizon), noise()):
+            # cwh_step's arithmetic, without its box check
+            x = _matvec(a, x) + b @ u + w
             yield x
-    elif isinstance(system, ToraSystem):
+    else:  # a ToraSystem, the only other system a SystemConfig admits
         h = system.control_period / system.integrator_substeps
         # state-major (4, M): each coordinate of the field is one array op
         x = x0.T
@@ -638,10 +641,6 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
                     x = rk4_step(_tora_field, x, u, h)
             x = x + w.T
             yield x.T
-    else:
-        raise ValueError(
-            f"cannot simulate a {type(system).__name__}; expected a CwhSystem or ToraSystem"
-        )
 
 
 def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:

@@ -539,6 +539,23 @@ def _tora_doc():
     ("cwh", "system", "mass", 0.0, "field system.mass must be positive, got 0.0"),
     ("tora", "system", "control_period", -0.1, "field system.control_period must be positive"),
     ("cwh", "", "horizon", 0, "field horizon must be at least 1, got 0"),
+    # a CWH thrust schedule covers the horizon inside the box, checked when the config loads
+    ("cwh", "system", "input_sequence", [[0.0, 0.0]] * 3,
+     "field system.input_sequence has 3 steps, so step 3 of horizon 5 is missing"),
+    ("cwh", "system", "input_sequence", [[0.0, 0.0]] * 2 + [[0.0, 0.2]] + [[0.0, 0.0]] * 2,
+     "field system.input_sequence [0.  0.2] at step 2 lies outside the admissible box"),
+    # the value checks of disturbances and grids name their field too
+    ("cwh", "disturbance", "covariance_diagonal", [1e-4, 1e-4],
+     "field disturbance.covariance_diagonal and mean must be 1-d vectors of equal length"),
+    ("cwh", "disturbance", "covariance_diagonal", [1e-4, -1e-4, 5e-8, 5e-8],
+     "field disturbance.covariance_diagonal must be nonnegative"),
+    ("cwh", "grid", "dim_i", 4, "field grid.dim_i must index a coordinate of fixed, got 4"),
+    ("cwh", "grid", "dim_j", 0, "field grid.dim_j must differ from dim_i, got 0 for both"),
+    ("cwh", "grid", "resolution_j", 1, "field grid.resolution_j must be at least 2, got 1"),
+    ("cwh", "grid", "range_i", [0.5, 0.5],
+     "field grid.range_i must run from low to high, got [0.5, 0.5]"),
+    # a seed is a nonnegative integer
+    ("cwh", "", "master_seed", -5, "field master_seed must be nonnegative, got -5"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -572,6 +589,9 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     ("lambda", -1, "field lambda must be a positive number or 'reciprocal-m', got -1"),
     ("kernel_family", "x", "field kernel_family must be one of ('abel', 'gaussian'), got 'x'"),
     ("bandwidth", -0.5, "field bandwidth must be a positive finite number, got -0.5"),
+    # the support holds m*n numbers that match the checksum
+    ("m", 4, "field support holds 6 values, expected m*n = 8"),
+    ("checksum", "0" * 64, "field support fails its checksum"),
 ])
 def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
     # one bad field in a model file fails the query before anything is written
@@ -641,6 +661,11 @@ def test_fit_out_of_memory_exits_4(tmp_path):
     assert not model.exists()
 
 
+# A second layer that takes 3 inputs, where the first gives 1.
+_UNCHAINED_LAYER = {"weights": [0.0, 0.0, 0.0], "rows": 1, "cols": 3, "bias": [0.0],
+                    "activation": "linear"}
+
+
 @pytest.mark.parametrize("section, key, value, expected", [
     ("layers.0", "weights", [0.0, 0.0, -1.0, -(10**400)],
      "field layers[0].weights[3] must be a finite double"),
@@ -650,6 +675,11 @@ def test_fit_out_of_memory_exits_4(tmp_path):
     ("saturation", "hi", _DELETE, "missing field saturation.hi"),
     ("layers.0", "weights", ["0.0", 0.0, -1.0, -1.0],
      "field layers[0].weights[0] must be a number, got '0.0'"),
+    # the network's value checks name their field
+    ("", "input_dim", 3, "field input_dim is declared as 3, but the layers give 4"),
+    ("", "output_dim", 2, "field output_dim is declared as 2, but the layers give 1"),
+    ("", "layers", [_mlp_weights_doc()["layers"][0], _UNCHAINED_LAYER],
+     "field layers do not chain: (1, 4) then (1, 3)"),
 ])
 def test_weight_file_field_errors_exit_2(tmp_path, capsys, section, key, value, expected):
     # one bad field in an MLP weight file fails the run before anything is simulated
@@ -723,3 +753,78 @@ def test_contour_sidecar_grid_reads_back(tmp_path):
                  "--out", str(out)]) == 0
     sidecar = json.loads(out.with_suffix(".json").read_text())
     assert grid_from_dict(sidecar["grid"]) == grid_from_dict(doc) == GridSpec(**doc)
+
+
+def test_weight_file_error_names_its_file_once(tmp_path, capsys):
+    # the weight file's error names that file; the run config that points to it adds nothing
+    weights = tmp_path.resolve() / "net.json"
+    doc = _mlp_weights_doc()
+    doc["layers"].append(_UNCHAINED_LAYER)
+    weights.write_text(json.dumps(doc))
+    config = tmp_path / "tora_mlp.json"
+    config.write_text(json.dumps(_mlp_config_doc()))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "s.csv")]) == 2
+    expected = f"error: {weights}: field layers do not chain: (1, 4) then (1, 3)\n"
+    assert capsys.readouterr().err == expected
+
+
+@pytest.mark.parametrize("command, flag, extra", [
+    ("simulate", "--seed", ["--seed", "-3"]),
+    ("sweep", "--seeds", ["--m-list", "5", "--seeds", "-1"]),
+])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, flag, extra):
+    config = tmp_path / "run.json"
+    _write_cwh_config(config, horizon=2)
+    out = tmp_path / "out.csv"
+    assert main([command, "--config", str(config), *extra, "--out", str(out)]) == 2
+    assert f"error: {flag} must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _fit_one_point(tmp_path):
+    samples = tmp_path / "one.csv"
+    samples.write_text("x1,x2\n0.0,0.0\n")
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(model_path)]) == 0
+    return model_path
+
+
+def test_contour_grid_of_another_dimension_exits_2(tmp_path, capsys):
+    model_path = _fit_one_point(tmp_path)
+    grid_path = tmp_path / "g3.json"
+    grid_path.write_text(json.dumps({**_GRID, "fixed": [0.0, 0.0, 0.0]}))
+    capsys.readouterr()
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 2
+    assert f"error: {grid_path}: grid is 3-dimensional, model expects 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_points_of_another_dimension_exit_2(tmp_path, capsys):
+    model_path = _fit_one_point(tmp_path)
+    points = tmp_path / "p3.csv"
+    points.write_text("x1,x2,x3\n0.0,0.0,0.0\n")
+    capsys.readouterr()
+    assert main(["validate", "--model", str(model_path), "--samples", str(points)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {points}: points have dimension 3, model expects 2" in err
+
+
+def test_sweep_rejects_an_empty_list(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    _write_cwh_config(config, horizon=2)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--m-list", ",", "--seeds", "0",
+                 "--out", str(out)]) == 2
+    assert "error: --m-list and --seeds must be nonempty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text("[1, 2]")
+    out = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {config}: must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()

@@ -176,6 +176,12 @@ def test_decision_value_nonnegative():
     assert np.all(values >= 0.0)
 
 
+def test_decision_value_takes_one_point():
+    _, model = _random_model(9, m=5, n=2)
+    with pytest.raises(ValueError, match="query must be a 1-d vector"):
+        decision_value(model, np.zeros((1, 2)))
+
+
 def test_training_points_classify_inside():
     for seed in range(5):
         samples, model = _random_model(seed, m=30)

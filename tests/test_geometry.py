@@ -387,6 +387,11 @@ def test_hausdorff_rejects_empty_and_mismatch():
         hausdorff(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+def test_hausdorff_rejects_an_unknown_metric():
+    with pytest.raises(ValueError, match="metric must be 'euclidean' or a KernelSpec, got 'cosine'"):
+        hausdorff(np.zeros((2, 2)), np.ones((2, 2)), metric="cosine")
+
+
 # ---------------------------------------------------------------------------
 # Containment and area
 # ---------------------------------------------------------------------------
@@ -434,6 +439,11 @@ def test_symmetric_difference_area():
     grown = np.linalg.norm(nodes, axis=1) <= 1.0 + 0.5 * step
     band = symmetric_difference_area(disk, grown, grid)
     assert 0.0 < band <= 2.0 * math.pi * 1.1 * math.hypot(step, step)
+
+
+def test_symmetric_difference_area_rejects_masks_of_unequal_size():
+    with pytest.raises(ValueError, match="indicator masks must have equal size"):
+        symmetric_difference_area(np.zeros(4, bool), np.zeros(3, bool), _unit_square_grid())
 
 
 # ---------------------------------------------------------------------------

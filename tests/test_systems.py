@@ -329,9 +329,8 @@ def test_trajectory_deterministic():
 
 
 def test_cwh_input_sequence_too_short():
-    config = _cwh_config(horizon=5, inputs=np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        simulate_trajectory(config, np.zeros(4), seed=0)
+        _cwh_config(horizon=5, inputs=np.zeros((3, 2)))
 
 
 def test_tora_single_step_matches_hand_sequenced_oracle():
@@ -399,9 +398,8 @@ def test_tora_builtin_feedback_envelope():
 def test_simulate_rejects_external_source():
     # only CWH and TORA simulate; any other system object, such as a path to
     # samples produced elsewhere, is rejected by name
-    config = SystemConfig(system="samples.csv", horizon=1, initial=PointInitial((0.0,) * 4))
     with pytest.raises(ValueError, match="cannot simulate a str"):
-        simulate_trajectory(config, np.zeros(4), seed=0)
+        SystemConfig(system="samples.csv", horizon=1, initial=PointInitial((0.0,) * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -650,10 +648,10 @@ class _CountingDisturbance:
         self.draws = 0
         self.steps = 0
 
-    def sample(self, rng, dim, steps):
+    def sample(self, rng, steps):
         self.draws += 1
         self.steps += steps
-        return np.zeros((steps, dim))
+        return np.zeros((steps, 4))
 
 
 @pytest.mark.parametrize("bad", [(0.0, 0.2), (-0.11, 0.0)])
@@ -661,9 +659,8 @@ def test_cwh_inputs_outside_box_rejected_before_any_step(bad):
     inputs = np.zeros((6, 2))
     inputs[4] = bad
     counter = _CountingDisturbance()
-    config = _cwh_config(horizon=6, disturbance=counter, inputs=inputs)
     with pytest.raises(ValueError, match="step 4 lies outside the admissible box"):
-        sample_terminal_states(config, 5, master_seed=0)
+        _cwh_config(horizon=6, disturbance=counter, inputs=inputs)
     assert counter.draws == 0
     # entries beyond the horizon are never used, so they are not checked
     assert sample_terminal_states(_cwh_config(horizon=4, inputs=inputs), 2, master_seed=0).size == 2
@@ -738,31 +735,25 @@ def test_beta_rejects_bad_shapes():
 def test_scaled_beta_disturbance_mask():
     spec = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4, mask=(1, 0, 1, 0))
     rng = np.random.default_rng(5)
-    draw = spec.sample(rng, 4, 1)[0]
+    draw = spec.sample(rng, 1)[0]
     assert draw[1] == 0.0 and draw[3] == 0.0
     assert draw[0] > 0.0 and draw[2] > 0.0
     # masked draws consume the same stream entries as unmasked ones
     unmasked = ScaledBetaDisturbance(alpha=2.0, beta=0.5, scale=0.01, dims=4)
-    full = unmasked.sample(np.random.default_rng(5), 4, 1)[0]
+    full = unmasked.sample(np.random.default_rng(5), 1)[0]
     assert draw[0] == full[0] and draw[2] == full[2]
 
 
 def test_gaussian_disturbance_draw_equals_sample_gaussian():
     spec = GaussianDisturbance((0.5, -1.0, 0.0, 2.0), (1e-4, 0.0, 5e-8, 3.0))
     for seed in range(5):
-        draw = spec.sample(np.random.default_rng(seed), 4, 1)[0]
+        draw = spec.sample(np.random.default_rng(seed), 1)[0]
         reference = sample_gaussian(spec.mean, spec.covariance_diagonal, np.random.default_rng(seed))
         assert np.array_equal(draw, reference)
     with pytest.raises(ValueError, match="finite"):
         GaussianDisturbance((0.0, math.nan), (1.0, 1.0))
     with pytest.raises(ValueError, match="finite"):
         GaussianDisturbance((0.0, 0.0), (1.0, math.inf))
-
-
-def test_disturbance_dimension_checked():
-    spec = GaussianDisturbance((0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        spec.sample(np.random.default_rng(0), 4, 1)
 
 
 _STREAM_SPECS = {
@@ -781,7 +772,7 @@ def test_chunked_draw_consumes_the_stream_as_single_steps(name, steps):
     spec = _STREAM_SPECS[name]
     for seed in range(3):
         chunked, single = np.random.default_rng(seed), np.random.default_rng(seed)
-        draws = spec.sample(chunked, 4, steps)
+        draws = spec.sample(chunked, steps)
         expected = np.array([_reference_draw(spec, single) for _ in range(steps)])
         assert draws.shape == (steps, 4)
         assert draws.tobytes() == expected.tobytes()
@@ -869,8 +860,6 @@ _RANGE_CASES = {
                   lambda _: ScaledBetaDisturbance(dims=0)),
     "beta-mask": (FieldError, "mask must hold dims = 4 flags, got 1",
                   lambda _: ScaledBetaDisturbance(mask=(True,))),
-    "beta-sample-dim": (ValueError, "disturbance dimension 4 does not match state dimension 3",
-                        lambda _: ScaledBetaDisturbance().sample(np.random.default_rng(0), 3, 1)),
     "layer-weights-shape": (FieldError, "weights must be an (out, in) matrix",
                             lambda _: MlpLayer(np.ones(2), np.zeros(2), "linear")),
     "layer-bias-shape": (FieldError, "bias must hold one number per weight row",
