@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Bit audit: sha256 digests of the output bits a numerical change can move.
+
+Each case of the standard matrix (23 sample sizes, three kernels, lambda 1/M
+and 0.013) fits the classifier to a seeded uniform sample and prints one
+line: tau, and the digests of the Gram matrix G, the Cholesky factor L, the
+training values and the classifier values at 300 query points.  The script
+then runs experiments.py and disk_convergence.py into a temporary directory
+and prints the digest of every file they write.
+
+The first line names what the bits depend on besides the code: the numpy and
+scipy versions, the build of scipy's OpenBLAS and its thread count.  So
+compare two checkouts on one machine in one session, by diffing what this
+script prints in each; it writes no digest file to compare against later.
+
+Usage: python3 scripts/bit_audit.py
+"""
+
+import ctypes
+import hashlib
+import importlib.util
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from kernelreach import (
+    RECIPROCAL_M,
+    FitConfig,
+    KernelSpec,
+    SampleSet,
+    decision_values,
+    fit,
+    gram,
+)
+
+SCRIPTS = Path(__file__).resolve().parent
+SIZES = (1, 2, 3, 5, 17, 50, 63, 64, 65, 100, 129, 255, 256, 257, 300,
+         511, 512, 513, 514, 800, 1024, 1025, 1600)
+# (family, state dimension n, bandwidth)
+KERNELS = (("abel", 2, 0.1), ("abel", 4, 0.5), ("gaussian", 3, 0.3))
+LAMBDAS = (RECIPROCAL_M, 0.013)
+CASES = [(family, n, sigma, m, lam)
+         for family, n, sigma in KERNELS for lam in LAMBDAS for m in SIZES]
+QUERIES = 300
+
+
+def digest(values) -> str:
+    return hashlib.sha256(np.ascontiguousarray(values, dtype=float).tobytes()).hexdigest()
+
+
+def audit_case(family, n, sigma, m, lam) -> str:
+    """One case's line: the sample and queries are seeded by (M, n) alone."""
+    rng = np.random.default_rng([m, n])
+    support = rng.uniform(-1.0, 1.0, size=(m, n))
+    queries = rng.uniform(-1.2, 1.2, size=(QUERIES, n))
+    kernel = KernelSpec(family, sigma)
+    model = fit(SampleSet(support), FitConfig(kernel, lam))
+    label = "1/M" if lam == RECIPROCAL_M else repr(lam)
+    return (f"{family} n={n} sigma={sigma} M={m} lambda={label} tau={model.tau!r} "
+            f"G={digest(gram(kernel, support).entries)} L={digest(model.factor)} "
+            f"train={digest(model.train_values)} "
+            f"query={digest(decision_values(model, queries))}")
+
+
+def script_lines():
+    """Digests of the files experiments.py and disk_convergence.py write."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for script in ("experiments.py", "disk_convergence.py"):
+            outdir = Path(tmp) / script
+            subprocess.run([sys.executable, str(SCRIPTS / script), str(outdir)],
+                           check=True, capture_output=True)
+            for path in sorted(outdir.iterdir()):
+                yield f"{script} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
+def environment_line() -> str:
+    """numpy and scipy versions, and the build and thread count of scipy's OpenBLAS.
+
+    Where scipy bundles no OpenBLAS of its own (a distribution's build), the
+    build is the one scipy reports at configure time and the thread count is
+    unknown.
+    """
+    libs = Path(importlib.util.find_spec("scipy").origin).parents[1] / "scipy.libs"
+    found = sorted(libs.glob("libscipy_openblas*"))
+    if found:
+        lib = ctypes.CDLL(str(found[0]))
+        lib.scipy_openblas_get_config.argtypes = []
+        lib.scipy_openblas_get_config.restype = ctypes.c_char_p
+        lib.scipy_openblas_get_num_threads.argtypes = []
+        lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+        build = lib.scipy_openblas_get_config().decode()
+        threads = lib.scipy_openblas_get_num_threads()
+    else:
+        blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
+        threads = None
+    return (f"env numpy={np.__version__} scipy={scipy.__version__} "
+            f"blas={build!r} blas_threads={threads}")
+
+
+def main():
+    print(environment_line(), flush=True)
+    for case in CASES:
+        print(audit_case(*case), flush=True)
+    for line in script_lines():
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

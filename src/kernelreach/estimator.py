@@ -137,7 +137,7 @@ def _quadratic_form(factor, count: int, phi_columns) -> np.ndarray:
     keeps every value nonnegative in floating point.
     """
     out = np.empty(count)
-    phi = np.zeros((factor.shape[0], _QUERY_BLOCK), order="F")
+    phi = np.empty((factor.shape[0], _QUERY_BLOCK), order="F")
     for start in range(0, count, _QUERY_BLOCK):
         stop = min(start + _QUERY_BLOCK, count)
         width = stop - start
@@ -151,7 +151,8 @@ def _quadratic_form(factor, count: int, phi_columns) -> np.ndarray:
             y = np.multiply(phi, 1.0 / factor[0, 0], out=phi)
         else:
             y = solve_triangular(factor, phi, lower=True, overwrite_b=True, check_finite=False)
-        out[start:stop] = np.multiply(y, y, out=y).sum(axis=0)[:width]
+        y = y[:, :width]
+        out[start:stop] = np.multiply(y, y, out=y).sum(axis=0)
     return out
 
 
@@ -285,8 +286,11 @@ def load_model(path) -> SupportModel:
     def stored(family: str, bandwidth: float, regularization: float, tau: float, m: int, n: int,
                support: tuple, checksum: str):
         config = FitConfig(KernelSpec(family, bandwidth), regularization)
+        for name, size in (("m", m), ("n", n)):
+            if size < 1:
+                raise FieldError(name, f"must be at least 1, got {size}")
         points = np.asarray(support, dtype=float)
-        if m < 1 or n < 1 or points.shape != (m * n,):
+        if points.shape != (m * n,):
             raise FieldError("support", f"holds {points.size} values, expected m*n = {m * n}")
         points = points.reshape(m, n)
         if _support_checksum(points) != checksum:

@@ -293,15 +293,21 @@ def convergence_sweep(
     """Empirical convergence study over increasing sample sizes.
 
     ``generator`` is either a SystemConfig or a callable ``(count, seed) ->
-    points``.  Each (M, seed) entry fits with regularization 1/M, records
-    tau, compares against an analytic truth indicator on ``truth_grid`` when
-    one is supplied (symmetric-difference area of the node indicators), and
-    always records the kernel-metric Hausdorff distance between a fresh
-    reference sample and the training cloud.  Rows are ordered by (M, seed).
+    points``, which must be a pure function of (count, seed): the same
+    arguments give the same points.  Each (M, seed) entry fits with
+    regularization 1/M, records tau, compares against an analytic truth
+    indicator on ``truth_grid`` when one is supplied (symmetric-difference
+    area of the node indicators), and always records the kernel-metric
+    Hausdorff distance between a fresh reference sample and the training
+    cloud.  The reference sample depends on the seed alone, so it is drawn
+    once per distinct seed.  Rows are ordered by (M, seed).
     """
     m_values = [int(m) for m in m_list]
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError("sample sizes must be strictly ascending")
+    seed_values = [int(seed) for seed in seeds]
+    if any(seed < 0 for seed in seed_values):
+        raise ValueError(f"seeds must be nonnegative, got {seed_values}")
     if truth is not None and truth_grid is None:
         raise ValueError("an analytic truth needs a truth_grid to compare on")
 
@@ -315,26 +321,25 @@ def convergence_sweep(
         nodes = grid_nodes(truth_grid)
         actual = np.asarray(truth(nodes), dtype=bool)
 
+    fresh = {seed: np.asarray(sampler(fresh_size, child_seed(seed, _FRESH_STREAM)), dtype=float)
+             for seed in set(seed_values)}
     rows = []
     for m in m_values:
-        for seed in seeds:
-            points = np.asarray(sampler(m, int(seed)), dtype=float)
+        for seed in seed_values:
+            points = np.asarray(sampler(m, seed), dtype=float)
             model = fit(SampleSet(points, provenance=f"sweep M={m} seed={seed}"),
                         FitConfig(kernel, RECIPROCAL_M))
             area = None
             if truth is not None:
                 estimated = classify_batch(model, nodes)
                 area = symmetric_difference_area(estimated, actual, truth_grid)
-            fresh = np.asarray(
-                sampler(fresh_size, child_seed(int(seed), _FRESH_STREAM)), dtype=float
-            )
             rows.append(
                 SweepRow(
                     m=m,
-                    seed=int(seed),
+                    seed=seed,
                     tau=model.tau,
                     sym_diff_area=area,
-                    hausdorff_to_reference=hausdorff(fresh, points, metric=kernel),
+                    hausdorff_to_reference=hausdorff(fresh[seed], points, metric=kernel),
                 )
             )
     return rows
@@ -364,5 +369,6 @@ def write_sweep_csv(rows, path) -> None:
     with atomic_write(path, newline="") as fh:
         fh.write("m,seed,tau,sym_diff_area,hausdorff_to_reference\n")
         for row in rows:
-            area = "" if row.sym_diff_area is None else repr(row.sym_diff_area)
-            fh.write(f"{row.m},{row.seed},{row.tau!r},{area},{row.hausdorff_to_reference!r}\n")
+            area = "" if row.sym_diff_area is None else repr(float(row.sym_diff_area))
+            fh.write(f"{row.m},{row.seed},{float(row.tau)!r},{area},"
+                     f"{float(row.hausdorff_to_reference)!r}\n")

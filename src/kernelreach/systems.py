@@ -652,6 +652,8 @@ def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
     to the state after the control period is integrated.  This is the batch
     simulator of ``sample_terminal_states`` on a batch of one.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     x0 = np.asarray(x0, dtype=float)
     steps = _steps(config, x0[None], [np.random.default_rng(seed)])
     return np.array([x0, *(x[0] for x in steps)])
@@ -668,6 +670,8 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
+    if master_seed < 0:
+        raise ValueError(f"master_seed must be nonnegative, got {master_seed}")
     blocks = []
     for start in range(0, count, _SAMPLE_BLOCK):
         stop = min(count, start + _SAMPLE_BLOCK)

@@ -1,0 +1,30 @@
+"""The bit audit script prints the same digests every time it runs a case."""
+
+import importlib.util
+from pathlib import Path
+
+from kernelreach import RECIPROCAL_M
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bit_audit", Path(__file__).resolve().parent.parent / "scripts" / "bit_audit.py"
+)
+bit_audit = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bit_audit)
+
+# one case per kernel; M=65 needs two query blocks for its training values
+_CASES = [("abel", 2, 0.1, 1, RECIPROCAL_M), ("abel", 4, 0.5, 65, 0.013),
+          ("gaussian", 3, 0.3, 17, RECIPROCAL_M)]
+
+
+def test_audit_cases_repeat_in_one_process():
+    first = [bit_audit.audit_case(*case) for case in _CASES]
+    assert [bit_audit.audit_case(*case) for case in _CASES] == first
+    for line in first:
+        digests = [field.split("=")[1] for field in line.split()[-4:]]
+        assert len(set(digests)) == 4 and all(len(d) == 64 for d in digests)
+    assert set(_CASES) <= set(bit_audit.CASES)
+
+
+def test_audit_environment_line_names_versions_and_threads():
+    line = bit_audit.environment_line()
+    assert line.startswith("env numpy=") and " scipy=" in line and " blas_threads=" in line

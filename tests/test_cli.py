@@ -592,6 +592,8 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     # the support holds m*n numbers that match the checksum
     ("m", 4, "field support holds 6 values, expected m*n = 8"),
     ("checksum", "0" * 64, "field support fails its checksum"),
+    ("m", 0, "field m must be at least 1, got 0"),
+    ("n", 0, "field n must be at least 1, got 0"),
 ])
 def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
     # one bad field in a model file fails the query before anything is written

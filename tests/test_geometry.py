@@ -491,3 +491,33 @@ def test_sweep_accepts_system_config():
     rows = convergence_sweep(config, [3], [0], fresh_size=5)
     assert len(rows) == 1 and rows[0].m == 3
     assert rows[0].sym_diff_area is None
+
+
+def test_sweep_draws_each_seeds_reference_sample_once():
+    # the reference sample depends on the seed alone: one draw per distinct seed
+    calls = []
+
+    def counting(count, seed):
+        calls.append((count, seed))
+        return uniform_disk_sampler()(count, seed)
+
+    m_list, seeds = [10, 20, 30], [0, 1, 0]
+    rows = convergence_sweep(counting, m_list, seeds, fresh_size=50)
+    assert len(calls) == len(m_list) * len(seeds) + len(set(seeds))
+    # each row is the row a sweep over its seed alone gives
+    by_seed = {s: convergence_sweep(uniform_disk_sampler(), m_list, [s], fresh_size=50)
+               for s in set(seeds)}
+    assert rows == [by_seed[s][i] for i in range(len(m_list)) for s in seeds]
+
+
+def test_sweep_csv_writes_numpy_floats_as_plain_decimals(tmp_path):
+    path = tmp_path / "sweep.csv"
+    geometry.write_sweep_csv([
+        geometry.SweepRow(10, 0, np.float64(0.5), np.float64(0.25), np.float64(0.125)),
+        geometry.SweepRow(20, 1, np.float64(0.1), None, np.float64(1 / 3)),
+    ], path)
+    assert path.read_text().splitlines() == [
+        "m,seed,tau,sym_diff_area,hausdorff_to_reference",
+        "10,0,0.5,0.25,0.125",
+        "20,1,0.1,,0.3333333333333333",
+    ]

@@ -21,6 +21,7 @@ from kernelreach import (
     SystemConfig,
     ToraSystem,
     child_seed,
+    convergence_sweep,
     cwh_discrete_matrices,
     cwh_step,
     load_mlp_controller,
@@ -449,6 +450,21 @@ def test_child_seed_fixed_mixer():
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         sample_terminal_states(_cwh_config(), 0, master_seed=0)
+
+
+# seed argument -> a library call that passes -1 to it
+_NEGATIVE_SEED_CALLS = {
+    "master_seed": lambda config: sample_terminal_states(config, 2, -1),
+    "seed": lambda config: simulate_trajectory(config, np.zeros(4), -1),
+    "seeds": lambda config: convergence_sweep(config, [3], [-1], fresh_size=5),
+}
+
+
+@pytest.mark.parametrize("argument", list(_NEGATIVE_SEED_CALLS))
+def test_negative_seed_error_names_its_argument(argument):
+    # numpy's own error ("expected non-negative integer") names no argument
+    with pytest.raises(ValueError, match=f"^{argument} must be nonnegative, got "):
+        _NEGATIVE_SEED_CALLS[argument](_tora_config())
 
 
 # ---------------------------------------------------------------------------
