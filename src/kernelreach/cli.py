@@ -36,7 +36,7 @@ from .geometry import (
     write_contour_sidecar,
     write_sweep_csv,
 )
-from .kernels import KernelSpec
+from .kernels import _FAMILIES, KernelSpec
 from .schema import ConfigError, FieldError, build, json_object, load_json, split_fields, typed
 from .systems import (
     STATE_DIM,
@@ -133,12 +133,11 @@ def _parse_lambda_flag(text):
     if text == RECIPROCAL_M:
         return RECIPROCAL_M
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise ConfigError(
             f"--lambda must be a positive number or {RECIPROCAL_M!r}, got {text!r}"
         ) from None
-    return value
 
 
 def _parse_int_list(text, flag):
@@ -178,13 +177,19 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def cmd_query(args) -> int:
-    model = load_model(args.model)
-    points = load_sample_csv(args.points)
+def _model_and_points(model_path, points_path):
+    """A model file and a point CSV of the model's dimension."""
+    model = load_model(model_path)
+    points = load_sample_csv(points_path)
     if points.dim != model.dim:
         raise ConfigError(
-            f"{args.points}: points have dimension {points.dim}, model expects {model.dim}"
+            f"{points_path}: points have dimension {points.dim}, model expects {model.dim}"
         )
+    return model, points
+
+
+def cmd_query(args) -> int:
+    model, points = _model_and_points(args.model, args.points)
     start = time.perf_counter()
     values = decision_values(model, points.points)
     inside = classify_batch(model, points.points)
@@ -201,6 +206,12 @@ def cmd_query(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    sidecar = Path(args.out).with_suffix(".json")
+    if sidecar == Path(args.out):
+        raise ConfigError(
+            f"--out {args.out} would be overwritten by the contour's sidecar {sidecar}; "
+            "give the contour CSV a suffix other than .json"
+        )
     model = load_model(args.model)
     grid = grid_from_dict(load_json(args.grid), str(args.grid))
     if grid.dim != model.dim:
@@ -213,7 +224,6 @@ def cmd_contour(args) -> int:
     contour = extract_contour(values, grid, level)
     elapsed = time.perf_counter() - start
     write_contour_csv(contour, args.out)
-    sidecar = Path(args.out).with_suffix(".json")
     write_contour_sidecar(contour, grid, model.tau, sidecar)
     print(
         f"contour: {values.size} nodes, {contour.segments.shape[0]} segments at "
@@ -223,12 +233,7 @@ def cmd_contour(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    model = load_model(args.model)
-    fresh = load_sample_csv(args.samples)
-    if fresh.dim != model.dim:
-        raise ConfigError(
-            f"{args.samples}: points have dimension {fresh.dim}, model expects {model.dim}"
-        )
+    model, fresh = _model_and_points(args.model, args.samples)
     rate = containment_rate(model, fresh.points)
     distance = hausdorff(fresh.points, model.support, metric=model.kernel)
     print(f"validate: containment_rate={rate:.6f} hausdorff_kernel_metric={distance!r}")
@@ -270,11 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a support classifier to a sample CSV")
+    default = FitConfig()
     p.add_argument("--samples", required=True)
-    p.add_argument("--sigma", type=float, default=0.1, help="kernel bandwidth")
-    p.add_argument("--kernel", choices=("abel", "gaussian"), default="abel")
-    p.add_argument("--lambda", dest="lam", default=RECIPROCAL_M,
-                   help=f"positive value or {RECIPROCAL_M!r} (default)")
+    p.add_argument("--sigma", type=float, default=default.kernel.bandwidth, help="kernel bandwidth")
+    p.add_argument("--kernel", choices=_FAMILIES, default=default.kernel.family)
+    p.add_argument("--lambda", dest="lam", default=default.regularization,
+                   help=f"positive value or {default.regularization!r} (default)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 
@@ -322,7 +328,3 @@ def main(argv=None) -> int:
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -284,7 +284,7 @@ def load_model(path) -> SupportModel:
 
     # Named as FitConfig and KernelSpec name them, so their FieldErrors name the field.
     def stored(family: str, bandwidth: float, regularization: float, tau: float, m: int, n: int,
-               support: tuple, checksum: str):
+               support: tuple[float, ...], checksum: str):
         config = FitConfig(KernelSpec(family, bandwidth), regularization)
         for name, size in (("m", m), ("n", n)):
             if size < 1:

@@ -40,9 +40,9 @@ class GridSpec:
 
     dim_i: int
     dim_j: int
-    fixed: tuple
-    range_i: tuple
-    range_j: tuple
+    fixed: tuple[float, ...]
+    range_i: tuple[float, ...]
+    range_j: tuple[float, ...]
     resolution_i: int = 100
     resolution_j: int = 100
 

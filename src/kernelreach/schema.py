@@ -32,6 +32,7 @@ _JSON_TYPES = {
     int: ((int,), "an integer"),
     str: ((str,), "a string"),
     tuple: ((list,), "an array"),
+    tuple[float, ...]: ((list,), "an array"),
     tuple[bool, ...]: ((list,), "an array"),
 }
 
@@ -81,14 +82,19 @@ def _finite(value, path, name, flags):
 def typed(value, annotation, path, name):
     """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are.
 
-    No JSON number in ``value`` may lie outside the finite doubles, and only
-    a ``tuple[bool, ...]`` field takes bools inside its array.
+    No JSON number in ``value`` may lie outside the finite doubles, only
+    a ``tuple[bool, ...]`` field takes bools inside its array, and each item
+    of a ``tuple[float, ...]`` field, a flat array, is a number.
     """
     _finite(value, path, name, flags=annotation == tuple[bool, ...])
     if annotation in _JSON_TYPES:
         types, noun = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{path}: field {name} must be {noun}, got {value!r}")
+    if annotation == tuple[float, ...]:
+        for index, item in enumerate(value):
+            if not isinstance(item, (int, float)):  # _finite has rejected bools
+                raise ConfigError(f"{path}: field {name}[{index}] must be a number, got {item!r}")
     return value
 
 

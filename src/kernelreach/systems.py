@@ -50,11 +50,6 @@ _SAMPLE_BLOCK = 4096
 # Control steps of disturbance a sample draws per call: 8 MB for a full block.
 _NOISE_STEPS = 64
 
-RELU = "relu"
-TANH = "tanh"
-SIGMOID = "sigmoid"
-LINEAR = "linear"
-
 
 def _sigmoid(v):
     # Imported here so that only a network with a sigmoid layer pays for
@@ -66,10 +61,10 @@ def _sigmoid(v):
 
 
 _ACTIVATIONS = {
-    RELU: lambda v: np.maximum(v, 0.0),
-    TANH: np.tanh,
-    SIGMOID: _sigmoid,
-    LINEAR: lambda v: v,
+    "relu": lambda v: np.maximum(v, 0.0),
+    "tanh": np.tanh,
+    "sigmoid": _sigmoid,
+    "linear": lambda v: v,
 }
 
 
@@ -106,8 +101,8 @@ class NoDisturbance:
 class GaussianDisturbance:
     """Diagonal-covariance Gaussian draws mean + sqrt(diag) * z; a zero variance is exact."""
 
-    mean: tuple
-    covariance_diagonal: tuple
+    mean: tuple[float, ...]
+    covariance_diagonal: tuple[float, ...]
     # read-only arrays built once, so a draw is one multiply-add
     _mean: np.ndarray = field(init=False, repr=False, compare=False)
     _sd: np.ndarray = field(init=False, repr=False, compare=False)
@@ -333,7 +328,8 @@ def mlp_controller_to_dict(controller: MlpController) -> dict:
 def load_mlp_controller(path) -> MlpController:
     """Read a weight file: the document ``mlp_controller_to_dict`` writes."""
 
-    def layer(weights: tuple, rows: int, cols: int, bias: tuple, activation: str):
+    def layer(weights: tuple[float, ...], rows: int, cols: int, bias: tuple[float, ...],
+              activation: str):
         flat = np.asarray(weights, dtype=float)
         if flat.shape != (rows * cols,):
             raise FieldError(
@@ -345,7 +341,7 @@ def load_mlp_controller(path) -> MlpController:
         specs = enumerate(typed(value, tuple, path, where))
         return tuple(build(layer, spec, path, f"{where}[{i}]") for i, spec in specs)
 
-    def box(lo: tuple, hi: tuple):
+    def box(lo: tuple[float, ...], hi: tuple[float, ...]):
         return lo, hi
 
     def controller(input_dim: int, output_dim: int, layers: tuple, saturation: tuple = None):
@@ -430,7 +426,7 @@ class ToraSystem:
 
 @dataclass(frozen=True)
 class PointInitial:
-    x: tuple
+    x: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
@@ -441,8 +437,8 @@ class PointInitial:
 
 @dataclass(frozen=True)
 class BoxInitial:
-    lo: tuple
-    hi: tuple
+    lo: tuple[float, ...]
+    hi: tuple[float, ...]
 
     def __post_init__(self):
         lo = tuple(float(v) for v in self.lo)

@@ -556,6 +556,14 @@ def _tora_doc():
      "field grid.range_i must run from low to high, got [0.5, 0.5]"),
     # a seed is a nonnegative integer
     ("cwh", "", "master_seed", -5, "field master_seed must be nonnegative, got -5"),
+    # a flat number array holds no array
+    ("cwh", "grid", "fixed", [[-0.585], -0.595, 0.0034, 0.003],
+     "field grid.fixed[0] must be a number, got [-0.585]"),
+    ("cwh", "initial", "x", [-0.75, -0.75, 0.0, [0.0, 1.0]],
+     "field initial.x[3] must be a number, got [0.0, 1.0]"),
+    ("cwh", "disturbance", "mean", [[0.0], 0.0, 0.0, 0.0],
+     "field disturbance.mean[0] must be a number, got [0.0]"),
+    ("cwh", "grid", "range_j", [None, 1.0], "field grid.range_j[0] must be a number, got None"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated
@@ -594,6 +602,9 @@ _POINTS = "x1,x2\n0.0,0.0\n0.05,0.02\n-0.03,0.04\n"
     ("checksum", "0" * 64, "field support fails its checksum"),
     ("m", 0, "field m must be at least 1, got 0"),
     ("n", 0, "field n must be at least 1, got 0"),
+    # the support is a flat array of m*n numbers
+    ("support", [[0.0, 0.0], 0.05, 0.02, -0.03, 0.04],
+     "field support[0] must be a number, got [0.0, 0.0]"),
 ])
 def test_model_file_field_errors_exit_2(tmp_path, capsys, key, value, expected):
     # one bad field in a model file fails the query before anything is written
@@ -682,6 +693,10 @@ _UNCHAINED_LAYER = {"weights": [0.0, 0.0, 0.0], "rows": 1, "cols": 3, "bias": [0
     ("", "output_dim", 2, "field output_dim is declared as 2, but the layers give 1"),
     ("", "layers", [_mlp_weights_doc()["layers"][0], _UNCHAINED_LAYER],
      "field layers do not chain: (1, 4) then (1, 3)"),
+    # weights, biases and the saturation box are flat number arrays
+    ("layers.0", "weights", [[0.0, 0.0], -1.0, -1.0],
+     "field layers[0].weights[0] must be a number, got [0.0, 0.0]"),
+    ("saturation", "lo", [[-1.0]], "field saturation.lo[0] must be a number, got [-1.0]"),
 ])
 def test_weight_file_field_errors_exit_2(tmp_path, capsys, section, key, value, expected):
     # one bad field in an MLP weight file fails the run before anything is simulated
@@ -800,6 +815,35 @@ def test_contour_grid_of_another_dimension_exits_2(tmp_path, capsys):
     assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
                  "--out", str(out)]) == 2
     assert f"error: {grid_path}: grid is 3-dimensional, model expects 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_contour_grid_nested_array_exits_2(tmp_path, capsys):
+    # a grid file's flat number arrays hold no array, as in a run config's grid
+    model_path = _fit_one_point(tmp_path)
+    grid_path = tmp_path / "g.json"
+    grid_path.write_text(json.dumps({**_GRID, "fixed": [[0.0], 0.0]}))
+    capsys.readouterr()
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {grid_path}: field fixed[0] must be a number, got [0.0]" in err
+    assert not out.exists()
+
+
+def test_contour_out_named_like_its_sidecar_exits_2(tmp_path, capsys):
+    # the sidecar is --out with the suffix .json, so an --out ending in .json would be lost
+    model_path = _fit_one_point(tmp_path)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**_GRID, "fixed": [0.0, 0.0]}))
+    capsys.readouterr()
+    out = tmp_path / "contour.json"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: --out {out} would be overwritten by the contour's sidecar" in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
