@@ -3,10 +3,12 @@
 
 Each case of the standard matrix (23 sample sizes, three kernels, lambda 1/M
 and 0.013) fits the classifier to a seeded uniform sample and prints one
-line: tau, and the digests of the Gram matrix G, the Cholesky factor L, the
-training values and the classifier values at 300 query points.  The script
-then runs experiments.py and disk_convergence.py into a temporary directory
-and prints the digest of every file they write.
+line: tau; whether the first 64 queries, each taken one at a time, give the
+same bits as the batch (``single=same`` or ``single=moved``); and the digests
+of the Gram matrix G, the Cholesky factor L, the training values and the
+classifier values at 300 query points.  The script then runs experiments.py
+and disk_convergence.py into a temporary directory and prints the digest of
+every file they write.
 
 The first line names what the bits depend on besides the code: the numpy and
 scipy versions, the build of scipy's OpenBLAS and its thread count.  So
@@ -46,6 +48,7 @@ LAMBDAS = (RECIPROCAL_M, 0.013)
 CASES = [(family, n, sigma, m, lam)
          for family, n, sigma in KERNELS for lam in LAMBDAS for m in SIZES]
 QUERIES = 300
+SINGLES = 64
 
 
 def digest(values) -> str:
@@ -59,11 +62,14 @@ def audit_case(family, n, sigma, m, lam) -> str:
     queries = rng.uniform(-1.2, 1.2, size=(QUERIES, n))
     kernel = KernelSpec(family, sigma)
     model = fit(SampleSet(support), FitConfig(kernel, lam))
+    values = decision_values(model, queries)
+    singles = [decision_values(model, query)[0] for query in queries[:SINGLES]]
+    single = "same" if np.array_equal(singles, values[:SINGLES]) else "moved"
     label = "1/M" if lam == RECIPROCAL_M else repr(lam)
     return (f"{family} n={n} sigma={sigma} M={m} lambda={label} tau={model.tau!r} "
-            f"G={digest(gram(kernel, support).entries)} L={digest(model.factor)} "
-            f"train={digest(model.train_values)} "
-            f"query={digest(decision_values(model, queries))}")
+            f"single={single} G={digest(gram(kernel, support).entries)} "
+            f"L={digest(model.factor)} train={digest(model.train_values)} "
+            f"query={digest(values)}")
 
 
 def script_lines():
@@ -78,11 +84,12 @@ def script_lines():
 
 
 def environment_line() -> str:
-    """numpy and scipy versions, and the build and thread count of scipy's OpenBLAS.
+    """numpy and scipy versions, and the build, core and thread count of scipy's OpenBLAS.
 
-    Where scipy bundles no OpenBLAS of its own (a distribution's build), the
-    build is the one scipy reports at configure time and the thread count is
-    unknown.
+    The core is the CPU kernel set OpenBLAS picked at load time; the bits of
+    the factor and the solves depend on it.  Where scipy bundles no OpenBLAS
+    of its own (a distribution's build), the build is the one scipy reports
+    at configure time and the core and thread count are unknown.
     """
     libs = Path(importlib.util.find_spec("scipy").origin).parents[1] / "scipy.libs"
     found = sorted(libs.glob("libscipy_openblas*"))
@@ -90,16 +97,19 @@ def environment_line() -> str:
         lib = ctypes.CDLL(str(found[0]))
         lib.scipy_openblas_get_config.argtypes = []
         lib.scipy_openblas_get_config.restype = ctypes.c_char_p
+        lib.scipy_openblas_get_corename.argtypes = []
+        lib.scipy_openblas_get_corename.restype = ctypes.c_char_p
         lib.scipy_openblas_get_num_threads.argtypes = []
         lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
         build = lib.scipy_openblas_get_config().decode()
+        core = lib.scipy_openblas_get_corename().decode()
         threads = lib.scipy_openblas_get_num_threads()
     else:
         blas = scipy.show_config(mode="dicts")["Build Dependencies"]["blas"]
         build = blas.get("openblas configuration") or f"{blas.get('name')} {blas.get('version')}"
-        threads = None
+        core = threads = None
     return (f"env numpy={np.__version__} scipy={scipy.__version__} "
-            f"blas={build!r} blas_threads={threads}")
+            f"blas={build!r} blas_core={core} blas_threads={threads}")
 
 
 def main():

@@ -25,17 +25,24 @@ MODEL_FORMAT_VERSION = 1
 # Slack on the inside test so training points never flip under roundoff.
 CLASSIFY_SLACK = 1e-12
 
-# Queries are solved against the Cholesky factor in blocks of exactly this
-# many right-hand-side columns (zero-padded at the tail).  A fixed block
-# geometry keeps each column's arithmetic independent of batch size and
-# ordering, so batched, chunked, and one-at-a-time evaluation agree bitwise;
-# the width is therefore one constant for every caller, never chosen per call.
-# 64 was measured against 32, 128 and 256 (2 vCPUs, OpenBLAS, 2 threads): one
-# padded single query at M=800 costs 1.7 ms against 5.7 ms at 256, and a large
-# batch costs about the same per column (M=1600: 94 us against 95 us at 256
-# and 109 us at 32).  Against 256 it moves the last bit of a few values at some
-# M (511, 513, 514 and 1025 among those checked), none at M=800 or 1600.
+# Queries are solved against the Cholesky factor padded to an order that is a
+# multiple of _PAD: L, then an identity block below and right of it, with the
+# phi rows below M zero.  Each call solves its queries in blocks of
+# _QUERY_BLOCK columns; only the last block is narrower, as wide as its
+# queries but never narrower than _MIN_WIDTH, so one query solves 2 columns.
+# At a padded order OpenBLAS's triangular solve gave every column the same
+# bits in every position of a block and at every width from 2 to 64 (SkylakeX
+# core, 1 and 2 BLAS threads, about 200 sizes from M = 2 to 1704), so batched,
+# chunked and one-at-a-time evaluation agree bitwise; padding to 16 or 32 gave
+# the same bits as 8 there, at a larger solve.  Unpadded, a value's
+# last bit depended on its column's position at most M above 384 that are not
+# multiples of 8; a single column takes another kernel and other bits at most
+# sizes.  64 columns was measured against 32, 128 and 256 (2 vCPUs, 2 BLAS
+# threads): a large batch costs about the same per column (M=1600: 94 us
+# against 95 us at 256 and 109 us at 32).
+_PAD = 8
 _QUERY_BLOCK = 64
+_MIN_WIDTH = 2
 
 # Allowed gap between a model file's tau and the recomputed one (BLAS rounding).
 _TAU_TOLERANCE = 1e-9
@@ -98,7 +105,9 @@ class SupportModel:
 
     ``factor`` is the lower Cholesky factor L of G + M lambda I; it is
     recomputed from the support points when a model is loaded from disk.
-    ``train_values`` holds the classifier value at each training point.
+    It is kept as an M x M view into the padded buffer the queries are
+    solved against (see _QUERY_BLOCK).  ``train_values`` holds the
+    classifier value at each training point.
     """
 
     support: np.ndarray
@@ -111,8 +120,12 @@ class SupportModel:
         # The query loop trusts the support, so a model built directly is checked here.
         support = _as_points(self.support, "support points")
         object.__setattr__(self, "support", _read_only_copy(support))
-        for arr in (self.factor, self.train_values):
-            arr.flags.writeable = False
+        padded = _padded_factor(self.factor)
+        padded.flags.writeable = False
+        m = self.factor.shape[0]
+        object.__setattr__(self, "_padded", padded)
+        object.__setattr__(self, "factor", padded[:m, :m])
+        self.train_values.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -128,30 +141,69 @@ class SupportModel:
         return 1.0 - float(self.train_values.min())
 
 
-def _quadratic_form(factor, count: int, phi_columns) -> np.ndarray:
+def _padded_order(m: int) -> int:
+    """M rounded up to a multiple of _PAD: the order the queries are solved at."""
+    return -(-m // _PAD) * _PAD
+
+
+def _identity_padded(m: int) -> np.ndarray:
+    """A zero Fortran-order buffer of the padded order, with ones on the diagonal past M."""
+    order = _padded_order(m)
+    padded = np.zeros((order, order), order="F")
+    pad = np.arange(m, order)
+    padded[pad, pad] = 1.0
+    return padded
+
+
+def _padded_factor(factor) -> np.ndarray:
+    """The buffer the queries are solved against: L, then an identity block.
+
+    A factor from _factorize is the M x M view into such a buffer, which is
+    returned as it is; any other factor is copied into a new one.
+    """
+    m = factor.shape[0]
+    base = factor.base
+    order = _padded_order(m)
+    if (isinstance(base, np.ndarray) and base.shape == (order, order)
+            and base.flags.f_contiguous and factor.strides == base.strides
+            and factor.__array_interface__["data"][0] == base.__array_interface__["data"][0]
+            and np.array_equal(base[m:], np.eye(order - m, order, m))
+            and not base[:m, m:].any()):
+        return base
+    padded = _identity_padded(m)
+    padded[:m, :m] = factor
+    return padded
+
+
+def _quadratic_form(padded, m: int, count: int, phi_columns) -> np.ndarray:
     """F = phi' (G + M lambda I)^{-1} phi at ``count`` points, as ||L^{-1} phi||^2.
 
     ``phi_columns(start, stop)`` gives the (M, stop - start) phi columns of
-    points start to stop; they are copied into one Fortran-order buffer of
-    _QUERY_BLOCK columns, solved and squared in place.  The sum of squares
-    keeps every value nonnegative in floating point.
+    points start to stop.  They are copied into the first M rows of one
+    Fortran-order buffer of the padded factor's order, whose other rows are
+    zero, and solved against ``padded`` in place, _QUERY_BLOCK columns at a
+    time and at least _MIN_WIDTH.  Only the first M rows are squared and
+    summed, so each sum has M terms in the same order at every padding.  The
+    sum of squares keeps every value nonnegative in floating point.
     """
     out = np.empty(count)
-    phi = np.empty((factor.shape[0], _QUERY_BLOCK), order="F")
+    phi = np.empty((padded.shape[0], min(_QUERY_BLOCK, max(count, _MIN_WIDTH))), order="F")
     for start in range(0, count, _QUERY_BLOCK):
         stop = min(start + _QUERY_BLOCK, count)
         width = stop - start
-        phi[:, :width] = phi_columns(start, stop)
-        phi[:, width:] = 0.0
-        if factor.shape[0] == 1:
+        block = phi[:, :max(width, _MIN_WIDTH)]
+        block[:m, :width] = phi_columns(start, stop)
+        block[m:, :width] = 0.0
+        block[:, width:] = 0.0
+        if m == 1:
             # A one-point factor is a scalar l.  OpenBLAS's trsm kernel solves
             # by multiplying with 1/l, so this is the same bits; its LAPACK
-            # trtrs would wake a second BLAS thread for one multiply per
-            # column, 4-6 ms a call once the machine has idled.
-            y = np.multiply(phi, 1.0 / factor[0, 0], out=phi)
+            # trtrs would wake a second BLAS thread for each call, 4-6 ms a
+            # call once the machine has idled.
+            y = np.multiply(block, 1.0 / padded[0, 0], out=block)
         else:
-            y = solve_triangular(factor, phi, lower=True, overwrite_b=True, check_finite=False)
-        y = y[:, :width]
+            y = solve_triangular(padded, block, lower=True, overwrite_b=True, check_finite=False)
+        y = y[:m, :width]
         out[start:stop] = np.multiply(y, y, out=y).sum(axis=0)
     return out
 
@@ -159,26 +211,39 @@ def _quadratic_form(factor, count: int, phi_columns) -> np.ndarray:
 def _factorize(kernel: KernelSpec, support, lam: float):
     """Cholesky factor of G + M lambda I, and the classifier at each support point.
 
-    LAPACK's dpotrf factors a copy of the read-only Gram matrix in place, and
-    the training phi blocks are G's own columns, so a fit holds G, its
-    factored copy and one phi block.  dpotrf comes from scipy's OpenBLAS, as
-    the triangular solves do; numpy bundles another, and the two libraries'
-    thread pools slow each other down when calls alternate.  The matrix is
-    positive definite for any lambda > 0; a failure means corrupt input.
+    The factor is an M x M view into the buffer _quadratic_form solves
+    against: one zeroed array of the padded order.  LAPACK's dpotrf factors
+    G + M lambda I in place in its first M^2 entries, as a Fortran-order
+    M x M array; the columns are then moved to the padded stride, last first,
+    and the padding set to zero rows and an identity block.  So L has the
+    bits of an unpadded factorization, and a fit holds G, the buffer and one
+    phi block; the training phi blocks are G's own columns.  dpotrf comes
+    from scipy's OpenBLAS, as the triangular solves do; numpy bundles
+    another, and the two libraries' thread pools slow each other down when
+    calls alternate.  The matrix is positive definite for any lambda > 0; a
+    failure means corrupt input.
     """
     m = support.shape[0]
     g = gram(kernel, support).entries
-    # G is exactly symmetric, so its C-order copy, transposed, is the same
-    # matrix in the Fortran order dpotrf overwrites without a copy; and row
-    # block G[s:e], transposed, is column block G[:, s:e].
-    a = g.copy().T
+    padded = _identity_padded(m)
+    order = padded.shape[0]
+    flat = padded.reshape(-1, order="F")
+    # G is exactly symmetric, so G.T is the same matrix in the Fortran order
+    # dpotrf overwrites without a copy; and row block G[s:e], transposed, is
+    # column block G[:, s:e].
+    a = flat[:m * m].reshape((m, m), order="F")
+    a[...] = g.T
     a[np.diag_indices(m)] += m * lam
-    factor, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
+    _, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"G + M lambda I is not positive definite (dpotrf info {info})"
         )
-    return factor, _quadratic_form(factor, m, lambda start, stop: g[start:stop].T)
+    if order > m:
+        for j in range(m - 1, 0, -1):
+            flat[j * order:j * order + m] = flat[j * m:j * m + m]
+        padded[m:, :m] = 0.0
+    return padded[:m, :m], _quadratic_form(padded, m, m, lambda start, stop: g[start:stop].T)
 
 
 def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
@@ -208,7 +273,8 @@ def decision_values(model: SupportModel, points) -> np.ndarray:
     """Classifier values at a batch of query points (always >= 0)."""
     pts = _as_queries(model, points)
     return _quadratic_form(
-        model.factor,
+        model._padded,
+        model.size,
         pts.shape[0],
         lambda start, stop: kernel_matrix(model.kernel, model.support, pts[start:stop]),
     )

@@ -36,6 +36,12 @@ _JSON_TYPES = {
     tuple[bool, ...]: ((list,), "an array"),
 }
 
+# The JSON values each item of a flat array field takes.
+_ITEM_TYPES = {
+    tuple[float, ...]: ((int, float), "a number"),
+    tuple[bool, ...]: ((bool,), "a boolean"),
+}
+
 
 def _dotted(where, key):
     return f"{where}.{key}" if where else key
@@ -63,17 +69,17 @@ def finite(number) -> bool:
         return False
 
 
-def _finite(value, path, name, flags):
+def _finite(value, path, name):
     """Reject a JSON number, alone or inside arrays, that is not a finite double.
 
-    Arrays in input files hold numbers, so a string inside one is an error
-    too, and so is a bool unless the array holds ``flags``.
+    Arrays in input files hold numbers, so a string or a bool inside one is
+    an error too.
     """
     if isinstance(value, list):
         for index, item in enumerate(value):
-            if isinstance(item, str) or (isinstance(item, bool) and not flags):
+            if isinstance(item, (str, bool)):
                 raise ConfigError(f"{path}: field {name}[{index}] must be a number, got {item!r}")
-            _finite(item, path, f"{name}[{index}]", flags)
+            _finite(item, path, f"{name}[{index}]")
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if not finite(value):
             raise ConfigError(f"{path}: field {name} must be a finite double")
@@ -82,19 +88,22 @@ def _finite(value, path, name, flags):
 def typed(value, annotation, path, name):
     """``value``, if it is JSON of the type ``annotation`` names; other fields pass as they are.
 
-    No JSON number in ``value`` may lie outside the finite doubles, only
-    a ``tuple[bool, ...]`` field takes bools inside its array, and each item
-    of a ``tuple[float, ...]`` field, a flat array, is a number.
+    No JSON number in ``value`` may lie outside the finite doubles, and each
+    item of a flat array field is JSON of its item type: a number for
+    ``tuple[float, ...]``, a boolean for ``tuple[bool, ...]``.  Only a
+    ``tuple[bool, ...]`` field holds bools, and it holds nothing else.
     """
-    _finite(value, path, name, flags=annotation == tuple[bool, ...])
+    if annotation != tuple[bool, ...]:
+        _finite(value, path, name)
     if annotation in _JSON_TYPES:
         types, noun = _JSON_TYPES[annotation]
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{path}: field {name} must be {noun}, got {value!r}")
-    if annotation == tuple[float, ...]:
+    if annotation in _ITEM_TYPES:
+        types, noun = _ITEM_TYPES[annotation]
         for index, item in enumerate(value):
-            if not isinstance(item, (int, float)):  # _finite has rejected bools
-                raise ConfigError(f"{path}: field {name}[{index}] must be a number, got {item!r}")
+            if not isinstance(item, types):  # _finite has rejected bools in number arrays
+                raise ConfigError(f"{path}: field {name}[{index}] must be {noun}, got {item!r}")
     return value
 
 

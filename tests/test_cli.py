@@ -564,6 +564,13 @@ def _tora_doc():
     ("cwh", "disturbance", "mean", [[0.0], 0.0, 0.0, 0.0],
      "field disturbance.mean[0] must be a number, got [0.0]"),
     ("cwh", "grid", "range_j", [None, 1.0], "field grid.range_j[0] must be a number, got None"),
+    # a flag array holds JSON booleans only
+    ("tora", "disturbance", "mask", [[False], False, False, False],
+     "field disturbance.mask[0] must be a boolean, got [False]"),
+    ("tora", "disturbance", "mask", [True, False, 1, True],
+     "field disturbance.mask[2] must be a boolean, got 1"),
+    ("tora", "disturbance", "mask", [True, "no", True, True],
+     "field disturbance.mask[1] must be a boolean, got 'no'"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated

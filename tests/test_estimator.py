@@ -21,7 +21,7 @@ from kernelreach import (
     load_model,
     save_model,
 )
-from kernelreach.estimator import _QUERY_BLOCK, _factorize
+from kernelreach.estimator import _MIN_WIDTH, _QUERY_BLOCK, _factorize
 from kernelreach.kernels import gram, kernel_matrix
 
 
@@ -160,6 +160,22 @@ def test_fit_peak_memory_is_two_m_by_m_arrays():
     assert peak <= 2.1 * m * m * 8
 
 
+def test_fit_peak_memory_at_a_padded_order():
+    # M = 1021 is solved at order 1024: G, the padded buffer factored in place
+    # and one phi block; a third M x M array for the padding would pass the bound
+    import tracemalloc
+
+    m, order = 1021, 1024
+    samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
+    tracemalloc.start()
+    try:
+        fit(samples, FitConfig(KernelSpec("abel", 0.1)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * order * order * 8
+
+
 def test_decision_matches_dense_inverse_oracle():
     rng = np.random.default_rng(5)
     samples, model = _random_model(5, m=50, n=4)
@@ -249,8 +265,14 @@ def test_classify_batch_equals_sequential():
 @example(2, _QUERY_BLOCK + 1, 3, _QUERY_BLOCK, "gaussian")
 @example(3, 513, 4, _QUERY_BLOCK + 1, "gaussian")
 @example(4, 800, 2, 2 * _QUERY_BLOCK + 1, "abel")
+# Sizes that are not multiples of 8, where an unpadded solve gave batched and
+# one-at-a-time queries different last bits for these data.
+@example(0, 443, 2, 2 * _QUERY_BLOCK + 1, "gaussian")
+@example(5, 499, 3, 2 * _QUERY_BLOCK + 1, "abel")
+@example(4, 515, 2, 2 * _QUERY_BLOCK + 1, "gaussian")
+@example(0, 1021, 2, 2 * _QUERY_BLOCK + 1, "abel")
 def test_batch_chunk_and_order_invariance(seed, m, n, q, family):
-    # one fixed block geometry: a query's value is the same bits in any batch
+    # at a padded order a query's value is the same bits in any batch
     rng = np.random.default_rng(seed)
     samples = SampleSet(rng.normal(size=(m, n)))
     model = fit(samples, FitConfig(KernelSpec(family, 0.5)))
@@ -264,6 +286,40 @@ def test_batch_chunk_and_order_invariance(seed, m, n, q, family):
     assert np.array_equal(whole[order], decision_values(model, queries[order]))
     assert np.array_equal(model.train_values, decision_values(model, model.support))
     assert classify_batch(model, samples.points).all()
+
+
+def _uniform_fit(m, family="abel", n=4, bandwidth=0.5):
+    # a bit audit case: uniform sample and queries, seeded by (M, n)
+    rng = np.random.default_rng([m, n])
+    support = rng.uniform(-1.0, 1.0, size=(m, n))
+    return fit(SampleSet(support), FitConfig(KernelSpec(family, bandwidth))), rng
+
+
+def test_query_bits_do_not_depend_on_block_width_or_position():
+    # one query's phi column in every position of blocks of every width, at
+    # sizes where an unpadded solve gave a column's last bit by its position
+    for m in [*range(380, 531), *range(1015, 1036)]:
+        model, rng = _uniform_fit(m)
+        x = rng.uniform(-1.2, 1.2, size=model.dim)
+        expected = decision_value(model, x)
+        for width in range(_MIN_WIDTH, _QUERY_BLOCK + 1):
+            values = decision_values(model, np.tile(x, (width, 1)))
+            assert np.all(values == expected), (m, width)
+
+
+@pytest.mark.parametrize("family, n, bandwidth, m", [
+    ("gaussian", 3, 0.3, 385),
+    ("abel", 4, 0.5, 443),
+    ("abel", 4, 0.5, 499),
+    ("abel", 4, 0.5, 515),
+    ("abel", 4, 0.5, 1301),
+])
+def test_batch_equals_one_at_a_time_off_multiples_of_8(family, n, bandwidth, m):
+    model, rng = _uniform_fit(m, family, n, bandwidth)
+    queries = rng.uniform(-1.2, 1.2, size=(2 * _QUERY_BLOCK, n))
+    assert np.array_equal(
+        decision_values(model, queries), [decision_value(model, x) for x in queries]
+    )
 
 
 def test_permutation_invariance():
