@@ -6,8 +6,12 @@ and 0.013) fits the classifier to a seeded uniform sample and prints one
 line: tau; whether the first 64 queries, each taken one at a time, give the
 same bits as the batch (``single=same`` or ``single=moved``); and the digests
 of the Gram matrix G, the Cholesky factor L, the training values and the
-classifier values at 300 query points.  The script then runs experiments.py
-and disk_convergence.py into a temporary directory and prints the digest of
+classifier values at 300 query points.  Then one ``samples`` line per shipped
+config gives the digest of ``sample_terminal_states`` at the config's M and
+master seed, and one more CWH line at M=5000 with master seed 2**64 + 7
+crosses the sampler's 4096-sample block boundary: these cover the
+simulator's bits directly.  The script then runs experiments.py and
+disk_convergence.py into a temporary directory and prints the digest of
 every file they write.
 
 The first line names what the bits depend on besides the code: the numpy and
@@ -37,9 +41,12 @@ from kernelreach import (
     decision_values,
     fit,
     gram,
+    sample_terminal_states,
 )
+from kernelreach.cli import load_run_config
 
 SCRIPTS = Path(__file__).resolve().parent
+CONFIGS = SCRIPTS.parent / "configs"
 SIZES = (1, 2, 3, 5, 17, 50, 63, 64, 65, 100, 129, 255, 256, 257, 300,
          511, 512, 513, 514, 800, 1024, 1025, 1600)
 # (family, state dimension n, bandwidth)
@@ -49,6 +56,9 @@ CASES = [(family, n, sigma, m, lam)
          for family, n, sigma in KERNELS for lam in LAMBDAS for m in SIZES]
 QUERIES = 300
 SINGLES = 64
+# (config, M, master seed); None takes the config's own value
+SAMPLES = (("cwh_rendezvous", None, None), ("tora", None, None), ("tora_beta", None, None),
+           ("cwh_rendezvous", 5000, 2**64 + 7))
 
 
 def digest(values) -> str:
@@ -70,6 +80,15 @@ def audit_case(family, n, sigma, m, lam) -> str:
             f"single={single} G={digest(gram(kernel, support).entries)} "
             f"L={digest(model.factor)} train={digest(model.train_values)} "
             f"query={digest(values)}")
+
+
+def sample_line(name, m=None, seed=None) -> str:
+    """The digest of a shipped config's terminal states, at its own M and seed by default."""
+    run = load_run_config(CONFIGS / f"{name}.json")
+    m = run.sample_size if m is None else m
+    seed = run.master_seed if seed is None else seed
+    points = sample_terminal_states(run.system, m, seed).points
+    return f"samples {name} M={m} seed={seed} {digest(points)}"
 
 
 def script_lines():
@@ -116,6 +135,8 @@ def main():
     print(environment_line(), flush=True)
     for case in CASES:
         print(audit_case(*case), flush=True)
+    for sample in SAMPLES:
+        print(sample_line(*sample), flush=True)
     for line in script_lines():
         print(line, flush=True)
 

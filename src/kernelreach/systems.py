@@ -12,7 +12,9 @@ Two simulatable benchmark systems are provided:
 All randomness flows through numpy Generators.  Sample i of a run uses the
 child seed ``child_seed(master_seed, i)``; the mixing function is pinned to
 numpy's SeedSequence spawn mechanism so runs reproduce themselves exactly
-regardless of evaluation order.
+regardless of evaluation order.  The sampler seeds the streams of a block in
+one vectorised pass of numpy's SeedSequence arithmetic, and tests pin each
+stream bitwise to ``default_rng(child_seed(master_seed, i))``.
 
 One simulator serves single trajectories and sample sets: it steps a batch
 of states together, each sample drawing a chunk of steps of disturbance per
@@ -26,6 +28,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .atomic import atomic_write
 from .estimator import SampleSet
@@ -44,7 +48,7 @@ STATE_DIM = 4
 DEFAULT_CWH_THRUST = 0.01
 
 # Samples stepped together at most.  Each live sample holds a Generator
-# (about 0.9 kB) and its share of the step temporaries, so blocks bound the
+# (about 0.8 kB) and its share of the step temporaries, so blocks bound the
 # sampler's memory at large M without slowing it.
 _SAMPLE_BLOCK = 4096
 # Control steps of disturbance a sample draws per call: 8 MB for a full block.
@@ -79,6 +83,96 @@ def child_seed(master_seed: int, index: int) -> int:
     seq = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(int(index),))
     words = seq.generate_state(4, dtype=np.uint32)
     return int.from_bytes(words.tobytes(), "little")
+
+
+# numpy's SeedSequence: O'Neill's seed_seq replacement ("Developing a seed_seq
+# Alternative", pcg-random.org, 2015), with numpy's pool size and constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+
+def _hash_constants(const: int, mult: int):
+    # the (xor, multiply) constants of each successive hash in one SeedSequence stage
+    while True:
+        nxt = const * mult & 0xFFFFFFFF
+        yield const, nxt
+        const = nxt
+
+
+def _hash(value: np.ndarray, constants) -> np.ndarray:
+    xor, mult = next(constants)
+    value = (value ^ xor) * mult  # uint32 arrays wrap, as numpy's C code does
+    return value ^ value >> _XSHIFT
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ result >> _XSHIFT
+
+
+def _seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(...).generate_state(n_words)`` of each column of (L >= 4, n) uint32 words.
+
+    Column j holds the assembled entropy of one SeedSequence: numpy's
+    ``mix_entropy`` over a pool of 4, then ``generate_state`` with uint32 output.
+    """
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hash(word, constants) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hash(word, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    return np.array([_hash(pool[i % _POOL_SIZE], constants) for i in range(n_words)])
+
+
+class _SeedWords(ISeedSequence):
+    """A stream's precomputed seed: the 4 uint64 words ``PCG64`` asks its seed for, once."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _stream_generators(master_seed: int, start: int, stop: int) -> list:
+    """``[default_rng(child_seed(master_seed, i)) for i in range(start, stop)]``, in one pass.
+
+    Both SeedSequence hashes of every stream run together as uint32 array
+    arithmetic, bitwise as numpy runs them one stream at a time (tests pin
+    this against ``child_seed``):
+
+    1. ``child_seed``: the master's 32-bit words, low first, zero-padded to
+       the pool size as numpy pads them when a spawn key follows, then the
+       index word.  An index is one word only below 2**32, which every count
+       that fits in memory keeps to.
+    2. ``default_rng(child)``: the child int's 4 words hashed into 4 uint64.
+       numpy drops the int's trailing zero words, but without a spawn key a
+       missing word hashes like an explicit zero, so all 4 are hashed.
+
+    The Generators serve the sampler only: their stand-in seed cannot spawn.
+    """
+    master = int(master_seed)
+    n_master = max(_POOL_SIZE, -(-master.bit_length() // 32))
+    entropy = np.empty((n_master + 1, stop - start), dtype=np.uint32)
+    entropy[:n_master] = np.frombuffer(master.to_bytes(4 * n_master, "little"), "<u4")[:, None]
+    entropy[n_master] = np.arange(start, stop)
+    # child_seed reads the child words' bytes as a little-endian int; on a
+    # little-endian host this view changes nothing
+    child = _seed_sequence_state(entropy, 4).view("<u4").astype(np.uint32)
+    state = _seed_sequence_state(child, 8).astype(np.uint64)
+    # generate_state's uint64 words are little-endian pairs: low word first
+    seeds = (state[0::2] | state[1::2] << 32).T.copy()
+    return [Generator(PCG64(_SeedWords(row))) for row in seeds]
 
 
 # ---------------------------------------------------------------------------
@@ -563,7 +657,12 @@ def cwh_step(a: np.ndarray, b: np.ndarray, state, control, noise) -> np.ndarray:
     if u.shape != (2,):
         raise ValueError("CWH control must be a 2-vector")
     _check_cwh_controls(u[None])
-    return _matvec(a, np.asarray(state, dtype=float)) + b @ u + np.asarray(noise, dtype=float)
+    return _cwh_update(a, b, np.asarray(state, dtype=float), u, np.asarray(noise, dtype=float))
+
+
+def _cwh_update(a: np.ndarray, b: np.ndarray, x: np.ndarray, u, w: np.ndarray) -> np.ndarray:
+    # unchecked; x and w are one state (4,) or a batch (M, 4) sharing the control u
+    return _matvec(a, x) + b @ u + w
 
 
 def _tora_field(x: np.ndarray, u) -> np.ndarray:
@@ -622,8 +721,7 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
         a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
         x = x0
         for u, w in zip(system.resolved_inputs(horizon), noise()):
-            # cwh_step's arithmetic, without its box check
-            x = _matvec(a, x) + b @ u + w
+            x = _cwh_update(a, b, x, u, w)
             yield x
     else:  # a ToraSystem, the only other system a SystemConfig admits
         h = system.control_period / system.integrator_substeps
@@ -658,11 +756,13 @@ def simulate_trajectory(config: SystemConfig, x0, seed: int) -> np.ndarray:
 def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -> SampleSet:
     """Draw ``count`` i.i.d. terminal states at the configured horizon.
 
-    Sample i runs on its own stream seeded with ``child_seed(master_seed,
-    i)``; the initial condition (when random) is drawn from that same stream
+    Sample i runs on its own stream, ``default_rng(child_seed(master_seed,
+    i))``; the initial condition (when random) is drawn from that same stream
     before the trajectory, so results do not depend on evaluation order.
     The samples are stepped together, in blocks of up to 4096, and each
     terminal state is bitwise equal to simulating that sample on its own.
+    The streams of a block are seeded in one vectorised pass, bitwise equal
+    to seeding each one by ``child_seed``, as tests pin.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")
@@ -671,7 +771,7 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
     blocks = []
     for start in range(0, count, _SAMPLE_BLOCK):
         stop = min(count, start + _SAMPLE_BLOCK)
-        rngs = [np.random.default_rng(child_seed(master_seed, i)) for i in range(start, stop)]
+        rngs = _stream_generators(master_seed, start, stop)
         x = np.array([config.initial.draw(rng) for rng in rngs], dtype=float)
         for x in _steps(config, x, rngs):
             pass  # keep only the state after the last step

@@ -25,6 +25,16 @@ def test_audit_cases_repeat_in_one_process():
     assert set(_CASES) <= set(bit_audit.CASES)
 
 
+def test_sample_lines_cover_every_shipped_config_and_a_block_boundary():
+    shipped = {path.stem for path in bit_audit.CONFIGS.glob("*.json")}
+    assert {name for name, _, _ in bit_audit.SAMPLES} == shipped
+    assert any(m is not None and m > 4096 for _, m, _ in bit_audit.SAMPLES)
+    line = bit_audit.sample_line("cwh_rendezvous", 5, 2**64 + 7)
+    assert line == bit_audit.sample_line("cwh_rendezvous", 5, 2**64 + 7)
+    assert line.startswith(f"samples cwh_rendezvous M=5 seed={2**64 + 7} ")
+    assert len(line.split()[-1]) == 64
+
+
 def test_audit_environment_line_names_versions_and_threads():
     line = bit_audit.environment_line()
     assert line.startswith("env numpy=") and " scipy=" in line and " blas_threads=" in line

@@ -37,6 +37,7 @@ from kernelreach import (
     tora_derivative,
 )
 from kernelreach.schema import ConfigError, FieldError
+from kernelreach.systems import _stream_generators
 
 CWH_DEFAULTS = dict(omega=0.00113, mass=300.0, dt=20.0)
 
@@ -447,6 +448,19 @@ def test_child_seed_fixed_mixer():
     assert child_seed(123, 0) != child_seed(124, 0)
 
 
+@pytest.mark.parametrize("master_seed", [0, 1, 2106, 2**32 - 1, 2**32, 2**64 + 7, 2**128 + 1])
+def test_stream_generators_match_child_seed_streams(master_seed):
+    # masters of one to five 32-bit words; indices on both sides of a block boundary
+    for start, stop in ((0, 100), (4094, 4098)):
+        streams = _stream_generators(master_seed, start, stop)
+        assert len(streams) == stop - start
+        for i, rng in zip(range(start, stop), streams):
+            reference = np.random.default_rng(child_seed(master_seed, i))
+            assert rng.bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rng.standard_normal(3), reference.standard_normal(3))
+            assert np.array_equal(rng.gamma(0.5, size=2), reference.gamma(0.5, size=2))
+
+
 def test_sample_count_validation():
     with pytest.raises(ValueError):
         sample_terminal_states(_cwh_config(), 0, master_seed=0)
@@ -576,15 +590,16 @@ def test_batch_size_never_couples_samples(config, k):
     assert np.array_equal(full[:k], sample_terminal_states(config, k, master_seed=11).points)
 
 
-def test_samples_across_blocks_match_their_own_streams():
+@pytest.mark.parametrize("master_seed", [31, 2**64 + 7])
+def test_samples_across_blocks_match_their_own_streams(master_seed):
     # more samples than one block holds: the last rows still run on their own streams
     config = _ORACLE_CONFIGS["cwh-gaussian-inputs"]
     count = 4100
-    points = sample_terminal_states(config, count, master_seed=31).points
+    points = sample_terminal_states(config, count, master_seed=master_seed).points
     assert points.shape == (count, 4)
     x0 = np.array([-0.75, -0.75, 0.0, 0.0])
     for i in (0, 4095, 4096, count - 1):
-        direct = simulate_trajectory(config, x0, seed=child_seed(31, i))
+        direct = simulate_trajectory(config, x0, seed=child_seed(master_seed, i))
         assert np.array_equal(points[i], direct[-1])
 
 
