@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
-from .kernels import KernelSpec, _as_points, _read_only_copy, gram, kernel_matrix
+from .kernels import KernelSpec, _as_points, _gram_into, _read_only_copy, kernel_matrix
 from .schema import ConfigError, FieldError, build, finite, json_object, load_json
 
 RECIPROCAL_M = "reciprocal-m"
@@ -103,11 +103,13 @@ class FitConfig:
 class SupportModel:
     """Fitted support classifier.
 
-    ``factor`` is the lower Cholesky factor L of G + M lambda I; it is
+    ``factor`` is the (M, M) lower Cholesky factor L of G + M lambda I; it is
     recomputed from the support points when a model is loaded from disk.
     It is kept as an M x M view into the padded buffer the queries are
-    solved against (see _QUERY_BLOCK).  ``train_values`` holds the
-    classifier value at each training point.
+    solved against (see _QUERY_BLOCK); a factor from ``fit`` is that view
+    already, with its strict upper triangle zero, and any other is copied
+    into a new buffer.  ``train_values`` holds the M finite classifier
+    values at the training points, kept as a read-only copy.
     """
 
     support: np.ndarray
@@ -117,15 +119,24 @@ class SupportModel:
     train_values: np.ndarray
 
     def __post_init__(self):
-        # The query loop trusts the support, so a model built directly is checked here.
+        # The query loop trusts the support and the factor, so a model built
+        # directly is checked here.
         support = _as_points(self.support, "support points")
         object.__setattr__(self, "support", _read_only_copy(support))
-        padded = _padded_factor(self.factor)
+        m = support.shape[0]
+        factor = np.asarray(self.factor, dtype=float)
+        if factor.shape != (m, m):
+            raise FieldError("factor", f"must be ({m}, {m}) for {m} support points, "
+                                       f"got shape {factor.shape}")
+        values = _read_only_copy(self.train_values)
+        if values.shape != (m,) or not np.all(np.isfinite(values)):
+            raise FieldError("train_values",
+                             f"must be {m} finite numbers, got shape {values.shape}")
+        padded = _padded_factor(factor)
         padded.flags.writeable = False
-        m = self.factor.shape[0]
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "factor", padded[:m, :m])
-        self.train_values.flags.writeable = False
+        object.__setattr__(self, "train_values", values)
 
     @property
     def size(self) -> int:
@@ -212,29 +223,32 @@ def _factorize(kernel: KernelSpec, support, lam: float):
     """Cholesky factor of G + M lambda I, and the classifier at each support point.
 
     The factor is an M x M view into the buffer _quadratic_form solves
-    against: one zeroed array of the padded order.  LAPACK's dpotrf factors
-    G + M lambda I in place in its first M^2 entries, as a Fortran-order
-    M x M array; the columns are then moved to the padded stride, last first,
-    and the padding set to zero rows and an identity block.  So L has the
-    bits of an unpadded factorization, and a fit holds G, the buffer and one
-    phi block; the training phi blocks are G's own columns.  dpotrf comes
+    against: one zeroed array of the padded order, the only M x M array of a
+    fit.  G is built into its first M^2 entries, as a Fortran-order M x M
+    array, and LAPACK's dpotrf factors G + M lambda I there in place.  The
+    lower dpotrf never references the strict upper triangle, so G's upper
+    half survives it.  The columns are then moved to the padded stride, last
+    first, and the padding set to zero rows and an identity block; L has the
+    bits of an unpadded factorization.  Each training phi block, G's columns
+    start to stop, is read off the buffer: the strict upper triangle, its
+    mirror and the unit diagonal.  The triangular solve reads only the lower
+    triangle, and once a block is read its columns' strict upper triangle is
+    zeroed; later blocks read only columns to their right.  dpotrf comes
     from scipy's OpenBLAS, as the triangular solves do; numpy bundles
     another, and the two libraries' thread pools slow each other down when
     calls alternate.  The matrix is positive definite for any lambda > 0; a
     failure means corrupt input.
     """
     m = support.shape[0]
-    g = gram(kernel, support).entries
     padded = _identity_padded(m)
     order = padded.shape[0]
     flat = padded.reshape(-1, order="F")
-    # G is exactly symmetric, so G.T is the same matrix in the Fortran order
-    # dpotrf overwrites without a copy; and row block G[s:e], transposed, is
-    # column block G[:, s:e].
     a = flat[:m * m].reshape((m, m), order="F")
-    a[...] = g.T
+    # Through the C-order view a.T each row block's stores are contiguous; G is
+    # exactly symmetric, so a holds G as well.
+    _gram_into(kernel, support, a.T)
     a[np.diag_indices(m)] += m * lam
-    _, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=1)
+    _, info = lapack.dpotrf(a, lower=1, overwrite_a=1, clean=0)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"G + M lambda I is not positive definite (dpotrf info {info})"
@@ -243,7 +257,21 @@ def _factorize(kernel: KernelSpec, support, lam: float):
         for j in range(m - 1, 0, -1):
             flat[j * order:j * order + m] = flat[j * m:j * m + m]
         padded[m:, :m] = 0.0
-    return padded[:m, :m], _quadratic_form(padded, m, m, lambda start, stop: g[start:stop].T)
+    factor = padded[:m, :m]
+
+    def train_phi(start, stop):
+        phi = np.empty((m, stop - start))
+        phi[:start] = factor[:start, start:stop]
+        square = factor[start:stop, start:stop]
+        upper = np.triu(square, 1)
+        np.add(upper, upper.T, out=phi[start:stop])
+        np.fill_diagonal(phi[start:stop], 1.0)
+        phi[stop:] = factor[start:stop, stop:].T
+        factor[:start, start:stop] = 0.0
+        square -= upper  # G - G is +0.0 above the diagonal; L - 0 keeps L's bits
+        return phi
+
+    return factor, _quadratic_form(padded, m, m, train_phi)
 
 
 def fit(samples: SampleSet, config: FitConfig) -> SupportModel:

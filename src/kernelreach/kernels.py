@@ -148,20 +148,30 @@ def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:
     return _kernel_in_place(spec, _distances(points, queries))
 
 
+def _gram_into(spec: KernelSpec, p, out) -> None:
+    """Write the Gram matrix of the points ``p`` into the M x M array ``out``.
+
+    Built _GRAM_ROWS rows at a time from the diagonal rightwards, each row
+    block's transpose copied into the rows below it, so the only temporary
+    is one row block.  Every entry is kernel_matrix(spec, p, p)'s bit for
+    bit, since (a - b)^2 equals (b - a)^2.  Unchecked, as ``_distances`` is.
+    """
+    m = p.shape[0]
+    for start in range(0, m, _GRAM_ROWS):
+        stop = min(start + _GRAM_ROWS, m)
+        rows = kernel_matrix(spec, p[start:stop], p[start:])
+        out[start:stop, start:] = rows
+        out[stop:, start:stop] = rows[:, stop - start :].T
+
+
 def gram(spec: KernelSpec, points) -> GramMatrix:
     """Gram matrix of a point set: entries[i][j] = K(points[i], points[j]).
 
-    Built _GRAM_ROWS rows at a time from the diagonal rightwards, each row
-    block's transpose copied into the rows below it, so the result is one
-    M x M array plus a row block.  Every entry is kernel_matrix(spec, p, p)'s
-    bit for bit, since (a - b)^2 equals (b - a)^2.
+    One M x M array plus a row block at its peak (see ``_gram_into``); the
+    fit builds the same bits into its factorization buffer.
     """
     p = _as_points(points, "points")
     m = p.shape[0]
     entries = np.empty((m, m))
-    for start in range(0, m, _GRAM_ROWS):
-        stop = min(start + _GRAM_ROWS, m)
-        rows = kernel_matrix(spec, p[start:stop], p[start:])
-        entries[start:stop, start:] = rows
-        entries[stop:, start:stop] = rows[:, stop - start :].T
+    _gram_into(spec, p, entries)
     return GramMatrix(entries)

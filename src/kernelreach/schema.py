@@ -91,9 +91,11 @@ def typed(value, annotation, path, name):
     No JSON number in ``value`` may lie outside the finite doubles, and each
     item of a flat array field is JSON of its item type: a number for
     ``tuple[float, ...]``, a boolean for ``tuple[bool, ...]``.  Only a
-    ``tuple[bool, ...]`` field holds bools, and it holds nothing else.
+    ``tuple[bool, ...]`` field holds bools, and it holds nothing else.  A
+    flat array is walked once, checking each item's type and then its
+    finiteness.
     """
-    if annotation != tuple[bool, ...]:
+    if annotation not in _ITEM_TYPES:
         _finite(value, path, name)
     if annotation in _JSON_TYPES:
         types, noun = _JSON_TYPES[annotation]
@@ -102,8 +104,11 @@ def typed(value, annotation, path, name):
     if annotation in _ITEM_TYPES:
         types, noun = _ITEM_TYPES[annotation]
         for index, item in enumerate(value):
-            if not isinstance(item, types):  # _finite has rejected bools in number arrays
+            # a bool is an int, so a number array names its types exactly
+            if type(item) not in types:
                 raise ConfigError(f"{path}: field {name}[{index}] must be {noun}, got {item!r}")
+            if not finite(item):  # always true of a bool
+                raise ConfigError(f"{path}: field {name}[{index}] must be a finite double")
     return value
 
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from kernelreach import (
     KernelSpec,
     ModelFormatError,
     SampleSet,
+    SupportModel,
     classify,
     classify_batch,
     decision_value,
@@ -21,7 +23,8 @@ from kernelreach import (
     load_model,
     save_model,
 )
-from kernelreach.estimator import _MIN_WIDTH, _QUERY_BLOCK, _factorize
+from kernelreach import estimator
+from kernelreach.estimator import _MIN_WIDTH, _QUERY_BLOCK, _factorize, _quadratic_form
 from kernelreach.kernels import gram, kernel_matrix
 
 
@@ -144,36 +147,96 @@ def test_fit_coincident_samples_raise_linalg_error():
         fit(samples, FitConfig(KernelSpec(), 1e-300))
 
 
-def test_fit_peak_memory_is_two_m_by_m_arrays():
-    # G, its copy factored in place and one phi block solved and squared in
-    # place; one more copy of the block would take the peak past the bound
-    import tracemalloc
+@pytest.mark.parametrize("m", [1, 2, 3, 63, 64, 65, 513, 1021])
+@pytest.mark.parametrize("family", ["abel", "gaussian"])
+@pytest.mark.parametrize("lam", [RECIPROCAL_M, 0.013])
+def test_fit_buffer_holds_gram_then_factor(monkeypatch, m, family, lam):
+    # G is built into the solve buffer and factored there; the strict upper
+    # triangle dpotrf leaves alone is where the training phi comes from
+    rng = np.random.default_rng(m)
+    points = rng.uniform(-1.0, 1.0, size=(m, 2))
+    spec = KernelSpec(family, 0.3)
+    lam = FitConfig(spec, lam).resolve_lambda(m)
+    g = gram(spec, points).entries
+    real = estimator.lapack.dpotrf
+    seen = {}
 
-    m = 1024
-    samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
+    def spy(a, **kwargs):
+        seen["buffer"], seen["before"] = a, a.copy()
+        result = real(a, **kwargs)
+        seen["after"] = a.copy()
+        return result
+
+    monkeypatch.setattr(estimator.lapack, "dpotrf", spy)
+    factor, train_values = _factorize(spec, points, lam)
+    monkeypatch.undo()
+    model = SupportModel(points, spec, lam, factor, train_values)
+    assert np.shares_memory(seen["buffer"], model._padded)
+    regularized = g.copy()
+    regularized[np.diag_indices(m)] += m * lam
+    assert np.array_equal(seen["before"], regularized)
+    assert np.array_equal(np.triu(seen["after"], 1), np.triu(g, 1))
+    assert np.array_equal(model.factor, np.tril(seen["after"]))
+    assert not np.triu(model.factor, 1).any()
+    # the training values are G's own columns, solved as queries are
+    from_gram = _quadratic_form(model._padded, m, m, lambda start, stop: g[:, start:stop])
+    assert np.array_equal(model.train_values, from_gram)
+
+
+def _traced_peak(call):
     tracemalloc.start()
     try:
-        fit(samples, FitConfig(KernelSpec("abel", 0.1)))
+        call()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * m * m * 8
+    return peak
+
+
+def test_fit_peak_memory_is_one_m_by_m_buffer():
+    # the buffer that holds G and then L, one phi block and one Gram row
+    # block; a second M x M array would take the peak past the bound
+    m = 1024
+    samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
+    peak = _traced_peak(lambda: fit(samples, FitConfig(KernelSpec("abel", 0.1))))
+    assert peak <= 1.25 * m * m * 8
 
 
 def test_fit_peak_memory_at_a_padded_order():
-    # M = 1021 is solved at order 1024: G, the padded buffer factored in place
-    # and one phi block; a third M x M array for the padding would pass the bound
-    import tracemalloc
-
+    # M = 1021 is solved at order 1024: the padded buffer holds G, then L;
+    # a second M x M array, for G or for the padding, would pass the bound
     m, order = 1021, 1024
     samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
-    tracemalloc.start()
-    try:
-        fit(samples, FitConfig(KernelSpec("abel", 0.1)))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.1 * order * order * 8
+    peak = _traced_peak(lambda: fit(samples, FitConfig(KernelSpec("abel", 0.1))))
+    assert peak <= 1.25 * order * order * 8
+
+
+def test_load_model_peak_memory_is_one_m_by_m_buffer(tmp_path):
+    # a load rebuilds the factor as a fit does, in one padded buffer
+    m, order = 1021, 1024
+    samples = SampleSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(m, 2)))
+    path = tmp_path / "model.json"
+    save_model(fit(samples, FitConfig(KernelSpec("abel", 0.1))), path)
+    peak = _traced_peak(lambda: load_model(path))
+    assert peak <= 1.25 * order * order * 8
+
+
+def test_built_model_is_checked_against_its_support():
+    # a factor or training values of another size would be solved against the support
+    support = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 2))
+    spec = KernelSpec("abel", 0.5)
+    with pytest.raises(ValueError, match=r"^factor must be \(5, 5\) .* got shape \(3, 3\)"):
+        SupportModel(support, spec, 0.2, np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"^factor must be \(5, 5\)"):
+        SupportModel(support, spec, 0.2, np.ones(5), np.ones(5))
+    for values in (np.ones(3), np.ones((5, 1)), [1.0, 1.0, np.nan, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="^train_values must be 5 finite numbers"):
+            SupportModel(support, spec, 0.2, np.eye(5), values)
+    model = fit(SampleSet(support), FitConfig(spec))
+    # a factor given as a list builds the model a factor array builds
+    built = SupportModel(support, spec, model.lam, model.factor.tolist(), list(model.train_values))
+    queries = np.random.default_rng(8).uniform(-1.0, 1.0, size=(10, 2))
+    assert np.array_equal(decision_values(built, queries), decision_values(model, queries))
 
 
 def test_decision_matches_dense_inverse_oracle():
