@@ -8,11 +8,12 @@ same bits as the batch (``single=same`` or ``single=moved``); and the digests
 of the Gram matrix G, the Cholesky factor L, the training values and the
 classifier values at 300 query points.  Then one ``samples`` line per shipped
 config gives the digest of ``sample_terminal_states`` at the config's M and
-master seed, and one more CWH line at M=5000 with master seed 2**64 + 7
-crosses the sampler's 4096-sample block boundary: these cover the
-simulator's bits directly.  The script then runs experiments.py and
-disk_convergence.py into a temporary directory and prints the digest of
-every file they write.
+master seed, and two more lines with master seed 2**64 + 7, CWH at M=5000
+and TORA with Beta disturbance at M=4100, cross the sampler's 4096-sample
+block boundary: these cover the simulator's bits directly, the TORA
+integrator and the disturbance chunk at the block edge included.  The
+script then runs experiments.py and disk_convergence.py into a temporary
+directory and prints the digest of every file they write.
 
 The first line names what the bits depend on besides the code: the numpy and
 scipy versions, the build of scipy's OpenBLAS and its thread count.  So
@@ -58,7 +59,7 @@ QUERIES = 300
 SINGLES = 64
 # (config, M, master seed); None takes the config's own value
 SAMPLES = (("cwh_rendezvous", None, None), ("tora", None, None), ("tora_beta", None, None),
-           ("cwh_rendezvous", 5000, 2**64 + 7))
+           ("cwh_rendezvous", 5000, 2**64 + 7), ("tora_beta", 4100, 2**64 + 7))
 
 
 def digest(values) -> str:

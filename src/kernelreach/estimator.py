@@ -28,20 +28,26 @@ CLASSIFY_SLACK = 1e-12
 # Queries are solved against the Cholesky factor padded to an order that is a
 # multiple of _PAD: L, then an identity block below and right of it, with the
 # phi rows below M zero.  Each call solves its queries in blocks of
-# _QUERY_BLOCK columns; only the last block is narrower, as wide as its
+# _query_block(order) columns; only the last block is narrower, as wide as its
 # queries but never narrower than _MIN_WIDTH, so one query solves 2 columns.
 # At a padded order OpenBLAS's triangular solve gave every column the same
 # bits in every position of a block and at every width from 2 to 64 (SkylakeX
-# core, 1 and 2 BLAS threads, about 200 sizes from M = 2 to 1704), so batched,
-# chunked and one-at-a-time evaluation agree bitwise; padding to 16 or 32 gave
-# the same bits as 8 there, at a larger solve.  Unpadded, a value's
-# last bit depended on its column's position at most M above 384 that are not
-# multiples of 8; a single column takes another kernel and other bits at most
-# sizes.  64 columns was measured against 32, 128 and 256 (2 vCPUs, 2 BLAS
-# threads): a large batch costs about the same per column (M=1600: 94 us
-# against 95 us at 256 and 109 us at 32).
+# core, 1 and 2 BLAS threads, about 200 sizes from M = 2 to 1704), and up to
+# the block width at every M from 1 to 513, so batched, chunked and
+# one-at-a-time evaluation agree bitwise; padding to 16 or 32 gave the same
+# bits as 8 there, at a larger solve.  Unpadded, a value's last bit depended
+# on its column's position at most M above 384 that are not multiples of 8; a
+# single column takes another kernel and other bits at most sizes.  64
+# columns was measured against 32, 128 and 256 (2 vCPUs, 2 BLAS threads): a
+# large batch costs about the same per column (M=1600: 94 us against 95 us at
+# 256 and 109 us at 32).  Below order 256 a block is wider, holding the
+# _QUERY_ENTRIES entries of 64 columns at order 256, because there a solve
+# costs its call, not its columns: 10,000 queries at M=3 took 10.9 ms in
+# 64-column blocks and 1.9 ms in 2048-column ones.  Blocks of 64 columns at
+# order 1024 (8192 columns at M=3) took 1.6 ms but held 1.0 MB instead of 0.4.
 _PAD = 8
 _QUERY_BLOCK = 64
+_QUERY_ENTRIES = 64 * 256
 _MIN_WIDTH = 2
 
 # Allowed gap between a model file's tau and the recomputed one (BLAS rounding).
@@ -106,7 +112,7 @@ class SupportModel:
     ``factor`` is the (M, M) lower Cholesky factor L of G + M lambda I; it is
     recomputed from the support points when a model is loaded from disk.
     It is kept as an M x M view into the padded buffer the queries are
-    solved against (see _QUERY_BLOCK); a factor from ``fit`` is that view
+    solved against (see _query_block); a factor from ``fit`` is that view
     already, with its strict upper triangle zero, and any other is copied
     into a new buffer.  ``train_values`` holds the M finite classifier
     values at the training points, kept as a read-only copy.
@@ -186,21 +192,27 @@ def _padded_factor(factor) -> np.ndarray:
     return padded
 
 
+def _query_block(order: int) -> int:
+    """Columns a query block solves at a padded order: 64, or _QUERY_ENTRIES entries."""
+    return max(_QUERY_BLOCK, _QUERY_ENTRIES // order)
+
+
 def _quadratic_form(padded, m: int, count: int, phi_columns) -> np.ndarray:
     """F = phi' (G + M lambda I)^{-1} phi at ``count`` points, as ||L^{-1} phi||^2.
 
     ``phi_columns(start, stop)`` gives the (M, stop - start) phi columns of
     points start to stop.  They are copied into the first M rows of one
     Fortran-order buffer of the padded factor's order, whose other rows are
-    zero, and solved against ``padded`` in place, _QUERY_BLOCK columns at a
+    zero, and solved against ``padded`` in place, _query_block columns at a
     time and at least _MIN_WIDTH.  Only the first M rows are squared and
     summed, so each sum has M terms in the same order at every padding.  The
     sum of squares keeps every value nonnegative in floating point.
     """
     out = np.empty(count)
-    phi = np.empty((padded.shape[0], min(_QUERY_BLOCK, max(count, _MIN_WIDTH))), order="F")
-    for start in range(0, count, _QUERY_BLOCK):
-        stop = min(start + _QUERY_BLOCK, count)
+    block_width = _query_block(padded.shape[0])
+    phi = np.empty((padded.shape[0], min(block_width, max(count, _MIN_WIDTH))), order="F")
+    for start in range(0, count, block_width):
+        stop = min(start + block_width, count)
         width = stop - start
         block = phi[:, :max(width, _MIN_WIDTH)]
         block[:m, :width] = phi_columns(start, stop)

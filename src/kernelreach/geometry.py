@@ -300,11 +300,15 @@ def convergence_sweep(
     area of the node indicators), and always records the kernel-metric
     Hausdorff distance between a fresh reference sample and the training
     cloud.  The reference sample depends on the seed alone, so it is drawn
-    once per distinct seed.  Rows are ordered by (M, seed).
+    once per distinct seed.  Under a SystemConfig each M's sample is the
+    prefix of the largest M's (see ``sample_terminal_states``), so that is
+    simulated once per seed.  Rows are ordered by (M, seed).
     """
     m_values = [int(m) for m in m_list]
     if any(b <= a for a, b in zip(m_values, m_values[1:])):
         raise ValueError("sample sizes must be strictly ascending")
+    if m_values and m_values[0] < 1:
+        raise ValueError(f"sample sizes must be at least 1, got {m_values}")
     seed_values = [int(seed) for seed in seeds]
     if any(seed < 0 for seed in seed_values):
         raise ValueError(f"seeds must be nonnegative, got {seed_values}")
@@ -314,8 +318,16 @@ def convergence_sweep(
     if isinstance(generator, SystemConfig):
         def sampler(count, seed):
             return sample_terminal_states(generator, count, seed).points
+
+        largest = {}
+
+        def training(count, seed):
+            # sample i runs on its own stream: a smaller M's sample is a prefix
+            if seed not in largest:
+                largest[seed] = sampler(m_values[-1], seed)
+            return largest[seed][:count]
     else:
-        sampler = generator
+        sampler = training = generator
 
     if truth is not None:
         nodes = grid_nodes(truth_grid)
@@ -326,7 +338,7 @@ def convergence_sweep(
     rows = []
     for m in m_values:
         for seed in seed_values:
-            points = np.asarray(sampler(m, seed), dtype=float)
+            points = np.asarray(training(m, seed), dtype=float)
             model = fit(SampleSet(points, provenance=f"sweep M={m} seed={seed}"),
                         FitConfig(kernel, RECIPROCAL_M))
             area = None

@@ -51,8 +51,10 @@ DEFAULT_CWH_THRUST = 0.01
 # (about 0.8 kB) and its share of the step temporaries, so blocks bound the
 # sampler's memory at large M without slowing it.
 _SAMPLE_BLOCK = 4096
-# Control steps of disturbance a sample draws per call: 8 MB for a full block.
-_NOISE_STEPS = 64
+# Control steps of disturbance a sample draws per call, so that a horizon of
+# up to 256 steps takes one call per sample.  It caps the block's noise chunk:
+# 256 x 4096 x 4 doubles, 33.5 MB.
+_NOISE_STEPS = 256
 
 
 def _sigmoid(v):
@@ -665,11 +667,6 @@ def _cwh_update(a: np.ndarray, b: np.ndarray, x: np.ndarray, u, w: np.ndarray) -
     return _matvec(a, x) + b @ u + w
 
 
-def _tora_field(x: np.ndarray, u) -> np.ndarray:
-    # unchecked; x is one state (4,) or a state-major batch (4, M)
-    return np.array([x[1], -x[0] + 0.1 * np.sin(x[2]), x[3], u])
-
-
 def tora_derivative(state, u: float) -> np.ndarray:
     """TORA vector field (x2, -x1 + 0.1 sin x3, x4, u)."""
     x = np.asarray(state, dtype=float)
@@ -677,7 +674,7 @@ def tora_derivative(state, u: float) -> np.ndarray:
         raise ValueError("TORA state must be a 4-vector")
     if not (np.all(np.isfinite(x)) and np.isfinite(u)):
         raise ValueError("non-finite state or control")
-    return _tora_field(x, float(u))
+    return np.array([x[1], -x[0] + 0.1 * np.sin(x[2]), x[3], float(u)])
 
 
 def rk4_step(derivative, state, u, h: float) -> np.ndarray:
@@ -695,6 +692,72 @@ def rk4_step(derivative, state, u, h: float) -> np.ndarray:
     return nxt
 
 
+def _tora_period(x: np.ndarray, u: np.ndarray, h: float, substeps: int) -> np.ndarray:
+    """``substeps`` RK4 steps of the TORA field on a state-major (4, M) batch, u held.
+
+    Bitwise ``rk4_step(tora_derivative, ., u, h)`` applied ``substeps`` times
+    to each column, unchecked.  With u held, x3' = x4 and x4' = u do not
+    depend on x1 or x2, so x4 after every substep is one running sum of the
+    same increment, x3's RK4 stages and increments are arrays over the
+    substeps followed by a second running sum (``add.accumulate`` adds left to
+    right, as the loop does), and the four sin x3 of every substep take one
+    ``sin``.  Only (x1, x2) stays in the loop, with the IEEE operations of
+    ``rk4_step`` on the same operands in the same order; S - x1, with
+    S = 0.1 sin x3, is bitwise rk4's (-x1) + S.
+    """
+    s, c = 0.5 * h, h / 6.0
+    m = x.shape[1]
+    x4 = np.empty((substeps + 1, m))
+    x4[0] = x[3]
+    x4[1:] = c * (((u + 2.0 * u) + 2.0 * u) + u)
+    x4 = np.add.accumulate(x4)
+    v = x4[:-1]  # x4 at the start of each substep: k1 of x3
+    mid = v + s * u  # k2 and k3 of x3
+    x3 = np.empty((substeps + 1, m))
+    x3[0] = x[2]
+    x3[1:] = c * (((v + 2.0 * mid) + 2.0 * mid) + (v + h * u))
+    x3 = np.add.accumulate(x3)
+    w = x3[:-1]
+    # the x3 of each substep's four stages, then 0.1 sin of them
+    forcing = np.empty((substeps, 4, m))
+    forcing[:, 0] = w
+    np.add(w, s * v, out=forcing[:, 1])
+    np.add(w, s * mid, out=forcing[:, 2])
+    np.add(w, h * mid, out=forcing[:, 3])
+    forcing = np.sin(forcing, out=forcing)
+    forcing *= 0.1
+    # per RK4 stage: its (x1, x2), then its x2 slope S - x1, so that the
+    # stage's slope (x2, S - x1) is two adjacent rows
+    stage = np.empty((4, 3, m))
+    z, y2, y3, y4 = stage[:, :2]
+    e1, e2, e3, e4 = stage[:, 0]
+    g1, g2, g3, g4 = stage[:, 2]
+    k1, k2, k3, k4 = slopes = stage[:, 1:]
+    k23 = slopes[1:3]  # doubled in place once the stages are done
+    z[...] = x[:2]
+    acc = np.empty((2, m))
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    s, h, c, two = (np.array(v) for v in (s, h, c, 2.0))
+    for f1, f2, f3, f4 in forcing:
+        np.subtract(f1, e1, g1)
+        np.multiply(k1, s, y2)
+        np.add(y2, z, y2)
+        np.subtract(f2, e2, g2)
+        np.multiply(k2, s, y3)
+        np.add(y3, z, y3)
+        np.subtract(f3, e3, g3)
+        np.multiply(k3, h, y4)
+        np.add(y4, z, y4)
+        np.subtract(f4, e4, g4)
+        np.multiply(k23, two, k23)
+        np.add(k1, k2, acc)
+        np.add(acc, k3, acc)
+        np.add(acc, k4, acc)
+        np.multiply(acc, c, acc)
+        np.add(z, acc, z)
+    return np.concatenate((z, x3[-1:], x4[-1:]))
+
+
 def _steps(config: SystemConfig, x0: np.ndarray, rngs):
     """Step M samples together; yield the (M, 4) batch after each control step.
 
@@ -702,6 +765,8 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
     Generator, drawn from in step order, ``_NOISE_STEPS`` steps per call.
     Every operation acts on each sample separately, so row i is bitwise
     equal to sample i stepped on its own: the batch never couples samples.
+    A TORA control period is integrated by ``_tora_period``, bitwise
+    ``rk4_step`` on every substep, and the state is checked once a period.
     The built ``config`` is trusted: only ``x0`` and divergence are checked.
     """
     system = config.system
@@ -712,10 +777,14 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
         raise ValueError("initial state has non-finite entries")
 
     def noise():
-        # the (M, 4) disturbance of each step; no draw runs past the horizon
+        # the (M, 4) disturbance of each step; no draw runs past the horizon.
+        # A step's rows are read before the next chunk overwrites them.
+        chunk = np.empty((min(_NOISE_STEPS, horizon), len(rngs), 4))
         for start in range(0, horizon, _NOISE_STEPS):
             steps = min(_NOISE_STEPS, horizon - start)
-            yield from np.stack([config.disturbance.sample(r, steps) for r in rngs], axis=1)
+            for i, r in enumerate(rngs):
+                chunk[:steps, i] = config.disturbance.sample(r, steps)
+            yield from chunk[:steps]
 
     if isinstance(system, CwhSystem):
         a, b = cwh_discrete_matrices(system.omega, system.mass, system.dt)
@@ -725,14 +794,17 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
             yield x
     else:  # a ToraSystem, the only other system a SystemConfig admits
         h = system.control_period / system.integrator_substeps
-        # state-major (4, M): each coordinate of the field is one array op
+        # state-major (4, M): each coordinate is one row of array ops
         x = x0.T
         for w in noise():
-            # divergence is reported by rk4_step's finite check, not by warnings
+            # divergence is reported by the finite check, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 u = _tora_controls(system.controller, x)
-                for _ in range(system.integrator_substeps):
-                    x = rk4_step(_tora_field, x, u, h)
+                x = _tora_period(x, u, h, system.integrator_substeps)
+            # one check a period: inf and NaN stay non-finite through adds,
+            # nonzero scalings and sin, so it catches what a per-substep one does
+            if not np.isfinite(x).all():
+                raise ValueError("integration produced a non-finite state")
             x = x + w.T
             yield x.T
 
@@ -761,8 +833,10 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
     before the trajectory, so results do not depend on evaluation order.
     The samples are stepped together, in blocks of up to 4096, and each
     terminal state is bitwise equal to simulating that sample on its own.
-    The streams of a block are seeded in one vectorised pass, bitwise equal
-    to seeding each one by ``child_seed``, as tests pin.
+    So the first k rows of a count-M draw are bitwise the count-k draw with
+    the same seed, across block boundaries too.  The streams of a block are
+    seeded in one vectorised pass, bitwise equal to seeding each one by
+    ``child_seed``, as tests pin.
     """
     if count < 1:
         raise ValueError("sample count must be at least 1")

@@ -11,8 +11,9 @@ _SPEC = importlib.util.spec_from_file_location(
 bit_audit = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bit_audit)
 
-# one case per kernel; M=65 needs two query blocks for its training values
-_CASES = [("abel", 2, 0.1, 1, RECIPROCAL_M), ("abel", 4, 0.5, 65, 0.013),
+# one case per kernel; M=129 needs two query blocks for its training values
+# (a block holds 120 columns at its padded order 136)
+_CASES = [("abel", 2, 0.1, 1, RECIPROCAL_M), ("abel", 4, 0.5, 129, 0.013),
           ("gaussian", 3, 0.3, 17, RECIPROCAL_M)]
 
 
@@ -28,7 +29,9 @@ def test_audit_cases_repeat_in_one_process():
 def test_sample_lines_cover_every_shipped_config_and_a_block_boundary():
     shipped = {path.stem for path in bit_audit.CONFIGS.glob("*.json")}
     assert {name for name, _, _ in bit_audit.SAMPLES} == shipped
-    assert any(m is not None and m > 4096 for _, m, _ in bit_audit.SAMPLES)
+    # a CWH and a TORA line cross the sampler's 4096-sample block boundary
+    assert ("cwh_rendezvous", 5000, 2**64 + 7) in bit_audit.SAMPLES
+    assert ("tora_beta", 4100, 2**64 + 7) in bit_audit.SAMPLES
     line = bit_audit.sample_line("cwh_rendezvous", 5, 2**64 + 7)
     assert line == bit_audit.sample_line("cwh_rendezvous", 5, 2**64 + 7)
     assert line.startswith(f"samples cwh_rendezvous M=5 seed={2**64 + 7} ")

@@ -24,8 +24,19 @@ from kernelreach import (
     save_model,
 )
 from kernelreach import estimator
-from kernelreach.estimator import _MIN_WIDTH, _QUERY_BLOCK, _factorize, _quadratic_form
+from kernelreach.estimator import (
+    _MIN_WIDTH,
+    _factorize,
+    _padded_order,
+    _quadratic_form,
+    _query_block,
+)
 from kernelreach.kernels import gram, kernel_matrix
+
+
+def _block(m):
+    # the columns a query block of an M-point model solves
+    return _query_block(_padded_order(m))
 
 
 def _random_model(seed, m=40, n=3, bandwidth=0.4, regularization=RECIPROCAL_M):
@@ -103,7 +114,7 @@ def test_single_point_scalar_solve_matches_triangular_solve(family):
     for lam in (1e-3, 0.1, 1.0, 10.0, RECIPROCAL_M):
         spec = KernelSpec(family, float(rng.uniform(0.05, 2.0)))
         model = fit(SampleSet(rng.normal(size=(1, 3))), FitConfig(spec, lam))
-        queries = model.support + rng.normal(scale=spec.bandwidth, size=(2 * _QUERY_BLOCK + 5, 3))
+        queries = model.support + rng.normal(scale=spec.bandwidth, size=(2 * _block(1) + 5, 3))
         for points, values in ((queries, decision_values(model, queries)),
                                (model.support, model.train_values)):
             y = solve_triangular(model.factor, kernel_matrix(spec, model.support, points),
@@ -323,17 +334,17 @@ def test_classify_batch_equals_sequential():
 )
 @settings(max_examples=15, deadline=None)
 # Block edges: query counts either side of one and two blocks, and sample
-# sizes at and past a block, 513 (where widths move bits) and 800.
-@example(1, _QUERY_BLOCK, 2, _QUERY_BLOCK - 1, "abel")
-@example(2, _QUERY_BLOCK + 1, 3, _QUERY_BLOCK, "gaussian")
-@example(3, 513, 4, _QUERY_BLOCK + 1, "gaussian")
-@example(4, 800, 2, 2 * _QUERY_BLOCK + 1, "abel")
+# sizes at and past 64, 513 (where widths move bits) and 800.
+@example(1, 64, 2, _block(64) - 1, "abel")
+@example(2, 65, 3, _block(65), "gaussian")
+@example(3, 513, 4, _block(513) + 1, "gaussian")
+@example(4, 800, 2, 2 * _block(800) + 1, "abel")
 # Sizes that are not multiples of 8, where an unpadded solve gave batched and
 # one-at-a-time queries different last bits for these data.
-@example(0, 443, 2, 2 * _QUERY_BLOCK + 1, "gaussian")
-@example(5, 499, 3, 2 * _QUERY_BLOCK + 1, "abel")
-@example(4, 515, 2, 2 * _QUERY_BLOCK + 1, "gaussian")
-@example(0, 1021, 2, 2 * _QUERY_BLOCK + 1, "abel")
+@example(0, 443, 2, 2 * _block(443) + 1, "gaussian")
+@example(5, 499, 3, 2 * _block(499) + 1, "abel")
+@example(4, 515, 2, 2 * _block(515) + 1, "gaussian")
+@example(0, 1021, 2, 2 * _block(1021) + 1, "abel")
 def test_batch_chunk_and_order_invariance(seed, m, n, q, family):
     # at a padded order a query's value is the same bits in any batch
     rng = np.random.default_rng(seed)
@@ -358,14 +369,20 @@ def _uniform_fit(m, family="abel", n=4, bandwidth=0.5):
     return fit(SampleSet(support), FitConfig(KernelSpec(family, bandwidth))), rng
 
 
+def test_query_block_holds_64_columns_or_as_many_entries_as_64_at_order_256():
+    assert [_block(m) for m in (1, 3, 8, 9, 64, 100, 129, 200, 249, 513, 1021, 1600)] == [
+        2048, 2048, 2048, 1024, 256, 157, 120, 81, 64, 64, 64, 64]
+
+
 def test_query_bits_do_not_depend_on_block_width_or_position():
     # one query's phi column in every position of blocks of every width, at
-    # sizes where an unpadded solve gave a column's last bit by its position
-    for m in [*range(380, 531), *range(1015, 1036)]:
+    # sizes where an unpadded solve gave a column's last bit by its position,
+    # and at sizes below order 256, where a block is wider than 64 columns
+    for m in [1, 3, 9, 61, 100, 129, 200, *range(380, 531), *range(1015, 1036)]:
         model, rng = _uniform_fit(m)
         x = rng.uniform(-1.2, 1.2, size=model.dim)
         expected = decision_value(model, x)
-        for width in range(_MIN_WIDTH, _QUERY_BLOCK + 1):
+        for width in range(_MIN_WIDTH, _block(m) + 1):
             values = decision_values(model, np.tile(x, (width, 1)))
             assert np.all(values == expected), (m, width)
 
@@ -379,7 +396,7 @@ def test_query_bits_do_not_depend_on_block_width_or_position():
 ])
 def test_batch_equals_one_at_a_time_off_multiples_of_8(family, n, bandwidth, m):
     model, rng = _uniform_fit(m, family, n, bandwidth)
-    queries = rng.uniform(-1.2, 1.2, size=(2 * _QUERY_BLOCK, n))
+    queries = rng.uniform(-1.2, 1.2, size=(2 * _block(m), n))
     assert np.array_equal(
         decision_values(model, queries), [decision_value(model, x) for x in queries]
     )

@@ -11,8 +11,10 @@ from kernelreach import (
     KernelSpec,
     SampleSet,
     SystemConfig,
+    BoxInitial,
     CwhSystem,
     PointInitial,
+    child_seed,
     containment_rate,
     convergence_sweep,
     decision_value,
@@ -24,6 +26,7 @@ from kernelreach import (
     hausdorff,
     kernel_eval,
     kernel_metric,
+    sample_terminal_states,
     symmetric_difference_area,
     uniform_disk_sampler,
 )
@@ -491,6 +494,34 @@ def test_sweep_accepts_system_config():
     rows = convergence_sweep(config, [3], [0], fresh_size=5)
     assert len(rows) == 1 and rows[0].m == 3
     assert rows[0].sym_diff_area is None
+
+
+def test_system_sweep_simulates_its_largest_size_once_per_seed(monkeypatch):
+    # each M's sample is the prefix of the largest M's, so the rows are those
+    # of a sweep that simulates every (M, seed)
+    config = SystemConfig(
+        system=CwhSystem(),
+        horizon=2,
+        initial=BoxInitial((-1.0, -1.0, 0.0, 0.0), (1.0, 1.0, 0.1, 0.1)),
+    )
+    m_list, seeds = [3, 10, 25], [0, 4, 0]
+
+    def per_size(count, seed):
+        return sample_terminal_states(config, count, seed).points
+
+    expected = convergence_sweep(per_size, m_list, seeds, fresh_size=20)
+    calls = []
+
+    def counting(system, count, seed):
+        calls.append((count, seed))
+        return sample_terminal_states(system, count, seed)
+
+    monkeypatch.setattr(geometry, "sample_terminal_states", counting)
+    assert convergence_sweep(config, m_list, seeds, fresh_size=20) == expected
+    fresh = [(20, child_seed(seed, geometry._FRESH_STREAM)) for seed in (0, 4)]
+    assert sorted(calls) == sorted([(25, 0), (25, 4), *fresh])
+    with pytest.raises(ValueError, match=r"sample sizes must be at least 1, got \[0, 5\]"):
+        convergence_sweep(config, [0, 5], [0])
 
 
 def test_sweep_draws_each_seeds_reference_sample_once():

@@ -37,7 +37,7 @@ from kernelreach import (
     tora_derivative,
 )
 from kernelreach.schema import ConfigError, FieldError
-from kernelreach.systems import _stream_generators
+from kernelreach.systems import _steps, _stream_generators, _tora_period
 
 CWH_DEFAULTS = dict(omega=0.00113, mass=300.0, dt=20.0)
 
@@ -561,8 +561,13 @@ _ORACLE_CONFIGS = {
         disturbance=_GAUSS,
         inputs=np.random.default_rng(12).uniform(-0.1, 0.1, size=(8, 2)),
     ),
-    # horizons that cross draw-chunk boundaries (64 steps a chunk)
+    # long horizons; 260 steps cross a 256-step draw chunk
     "tora-feedback-beta-130": _tora_config(horizon=130, disturbance=_BETA),
+    "cwh-gaussian-260-inputs": _cwh_config(
+        horizon=260,
+        disturbance=_GAUSS,
+        inputs=np.random.default_rng(14).uniform(-0.1, 0.1, size=(260, 2)),
+    ),
     "cwh-gaussian-70-inputs": _cwh_config(
         horizon=70,
         disturbance=_GAUSS,
@@ -588,6 +593,18 @@ def test_batched_sampler_matches_scalar_reference_bitwise(name, count):
 def test_batch_size_never_couples_samples(config, k):
     full = sample_terminal_states(config, 50, master_seed=11).points
     assert np.array_equal(full[:k], sample_terminal_states(config, k, master_seed=11).points)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_tora_config(horizon=3, disturbance=_BETA), _ORACLE_CONFIGS["cwh-gaussian-inputs"]],
+    ids=["tora", "cwh"],
+)
+def test_a_draw_is_the_prefix_of_a_larger_one_across_blocks(config):
+    # what lets a sweep simulate its largest M once per seed
+    full = sample_terminal_states(config, 4100, master_seed=2**64 + 7).points
+    for k in (1, 4095, 4096, 4097):
+        assert np.array_equal(full[:k], sample_terminal_states(config, k, 2**64 + 7).points), k
 
 
 @pytest.mark.parametrize("master_seed", [31, 2**64 + 7])
@@ -674,6 +691,82 @@ def test_one_diverging_sample_fails_the_batch(name):
         sample_terminal_states(config, 8, master_seed=seed)
 
 
+def _period_batch(m, rng):
+    """(4, M) states, as _steps holds them, and held controls with signed zeros,
+    magnitudes near 1e300 and both saturation bounds."""
+    states = rng.normal(scale=[1.0, 1.0, 3.0, 2.0], size=(m, 4))
+    kind = np.arange(m) % 4
+    states[kind == 1] = rng.choice([0.0, -0.0], size=(np.sum(kind == 1), 4))
+    states[kind == 2] *= 1e300
+    states[kind == 3, ::2] = -0.0
+    u = rng.choice([1.0, -1.0, 0.0, -0.0, 0.37], size=m)
+    return states.T, u
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _rk4_columns(x, u, h, substeps):
+    # the reference: rk4_step on each column alone, once per substep
+    out = np.empty(x.shape)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        for _ in range(substeps):
+            col = rk4_step(tora_derivative, col, u[j], h)
+        out[:, j] = col
+    return out
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 10, 11])
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 64, 65])
+def test_tora_period_is_rk4_step_per_substep_bitwise(m, substeps):
+    x, u = _period_batch(m, np.random.default_rng([m, substeps]))
+    h = 0.1 / substeps
+    assert _same_bits(_tora_period(x, u, h, substeps), _rk4_columns(x, u, h, substeps))
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 10, 11])
+def test_tora_period_keeps_the_sign_of_every_zero(substeps):
+    # all 16 sign patterns of the zero state, each under u = +0 and u = -0
+    bits = (np.arange(32)[:, None] >> np.arange(5)) & 1
+    x = np.where(bits[:, :4], -0.0, 0.0).T
+    u = np.where(bits[:, 4], -0.0, 0.0)
+    h = 0.1 / substeps
+    assert _same_bits(_tora_period(x, u, h, substeps), _rk4_columns(x, u, h, substeps))
+
+
+def test_overflow_inside_a_period_fails_at_the_reference_step():
+    # (x1, x2) turns at unit rate on radius 3.5e307, so RK4's stage sum of
+    # x2's slope, about 6 x1, overflows once x1 passes 3e307: mid-period
+    config = _tora_config(horizon=10)
+    system, ctrl = config.system, config.system.controller
+    h = system.control_period / system.integrator_substeps
+    x0 = np.array([3.5e307 * math.sqrt(0.5), 3.5e307 * math.sqrt(0.5), 0.3, -0.2])
+    x, states, failed = x0, [], None
+    for step in range(config.horizon):
+        u = min(max(-ctrl.k1 * x[2] - ctrl.k2 * x[3], -ctrl.saturation), ctrl.saturation)
+        for sub in range(system.integrator_substeps):
+            try:
+                with np.errstate(over="ignore"):
+                    x = rk4_step(tora_derivative, x, u, h)
+            except ValueError as exc:
+                assert str(exc) == "integration produced a non-finite state"
+                failed = (step, sub)
+                break
+        if failed:
+            break
+        x = x + np.zeros(4)
+        states.append(x)
+    assert failed == (2, 4)
+    batched = []
+    with pytest.raises(ValueError, match="^integration produced a non-finite state$"):
+        for state in _steps(config, x0[None], [np.random.default_rng(0)]):
+            batched.append(state[0].copy())
+    assert len(batched) == failed[0]
+    assert _same_bits(np.array(batched), np.array(states))
+
+
 class _CountingDisturbance:
     def __init__(self):
         self.draws = 0
@@ -698,11 +791,11 @@ def test_cwh_inputs_outside_box_rejected_before_any_step(bad):
 
 
 @pytest.mark.parametrize("config", [_cwh_config, _tora_config], ids=["cwh", "tora"])
-@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130])
+@pytest.mark.parametrize("horizon", [1, 63, 64, 65, 130, 256, 257])
 def test_each_sample_draws_a_chunk_of_steps_per_call(config, horizon):
     counter = _CountingDisturbance()
     sample_terminal_states(config(horizon=horizon, disturbance=counter), 3, master_seed=0)
-    assert counter.draws == 3 * math.ceil(horizon / 64)
+    assert counter.draws == 3 * math.ceil(horizon / 256)
     assert counter.steps == 3 * horizon
 
 
