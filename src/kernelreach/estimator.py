@@ -5,18 +5,22 @@ where phi_i = K(x_i, x) over the M training points and G is their Gram
 matrix.  A point is declared inside the estimated support when F(x) is at
 least 1 - tau, with tau = 1 - min_i F(x_i) so that every training point is
 contained by construction.
+
+A model is fixed by its support points, kernel and lambda: a SupportModel
+derives the Cholesky factor and the training values (and so tau) from those
+three, whether it comes from ``fit``, from ``load_model`` or is built directly.
 """
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
 from .kernels import KernelSpec, _as_points, _gram_into, _read_only_copy, kernel_matrix
-from .schema import ConfigError, FieldError, build, finite, json_object, load_json
+from .schema import ConfigError, FieldError, build, finite, json_object, load_json, positive_number
 
 RECIPROCAL_M = "reciprocal-m"
 
@@ -105,41 +109,36 @@ class FitConfig:
         return float(self.regularization)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SupportModel:
-    """Fitted support classifier.
+    """Fitted support classifier: its support points, kernel and lambda.
 
-    ``factor`` is the (M, M) lower Cholesky factor L of G + M lambda I; it is
-    recomputed from the support points when a model is loaded from disk.
-    It is kept as an M x M view into the padded buffer the queries are
-    solved against (see _query_block); a factor from ``fit`` is that view
-    already, with its strict upper triangle zero, and any other is copied
-    into a new buffer.  ``train_values`` holds the M finite classifier
-    values at the training points, kept as a read-only copy.
+    The constructor derives the rest from those three, as ``fit`` and
+    ``load_model`` do: ``factor`` is the (M, M) lower Cholesky factor L of
+    G + M lambda I, a read-only M x M view into the padded buffer the
+    queries are solved against (see _query_block), and ``train_values``
+    holds the M classifier values at the support points, read-only too.
+    A model compares by identity.
     """
 
     support: np.ndarray
     kernel: KernelSpec
     lam: float
-    factor: np.ndarray
-    train_values: np.ndarray
+    factor: np.ndarray = field(init=False)
+    train_values: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        # The query loop trusts the support and the factor, so a model built
-        # directly is checked here.
+        # The query loop trusts the support, so it is checked here.
         support = _as_points(self.support, "support points")
         object.__setattr__(self, "support", _read_only_copy(support))
-        m = support.shape[0]
-        factor = np.asarray(self.factor, dtype=float)
-        if factor.shape != (m, m):
-            raise FieldError("factor", f"must be ({m}, {m}) for {m} support points, "
-                                       f"got shape {factor.shape}")
-        values = _read_only_copy(self.train_values)
-        if values.shape != (m,) or not np.all(np.isfinite(values)):
-            raise FieldError("train_values",
-                             f"must be {m} finite numbers, got shape {values.shape}")
-        padded = _padded_factor(factor)
+        if not isinstance(self.kernel, KernelSpec):
+            raise FieldError("kernel", f"must be a KernelSpec, got {self.kernel!r}")
+        if not positive_number(self.lam):
+            raise FieldError("lam", f"must be a positive finite number, got {self.lam!r}")
+        padded, values = _factorize(self.kernel, support, self.lam)
         padded.flags.writeable = False
+        values.flags.writeable = False
+        m = support.shape[0]
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "factor", padded[:m, :m])
         object.__setattr__(self, "train_values", values)
@@ -161,35 +160,6 @@ class SupportModel:
 def _padded_order(m: int) -> int:
     """M rounded up to a multiple of _PAD: the order the queries are solved at."""
     return -(-m // _PAD) * _PAD
-
-
-def _identity_padded(m: int) -> np.ndarray:
-    """A zero Fortran-order buffer of the padded order, with ones on the diagonal past M."""
-    order = _padded_order(m)
-    padded = np.zeros((order, order), order="F")
-    pad = np.arange(m, order)
-    padded[pad, pad] = 1.0
-    return padded
-
-
-def _padded_factor(factor) -> np.ndarray:
-    """The buffer the queries are solved against: L, then an identity block.
-
-    A factor from _factorize is the M x M view into such a buffer, which is
-    returned as it is; any other factor is copied into a new one.
-    """
-    m = factor.shape[0]
-    base = factor.base
-    order = _padded_order(m)
-    if (isinstance(base, np.ndarray) and base.shape == (order, order)
-            and base.flags.f_contiguous and factor.strides == base.strides
-            and factor.__array_interface__["data"][0] == base.__array_interface__["data"][0]
-            and np.array_equal(base[m:], np.eye(order - m, order, m))
-            and not base[:m, m:].any()):
-        return base
-    padded = _identity_padded(m)
-    padded[:m, :m] = factor
-    return padded
 
 
 def _query_block(order: int) -> int:
@@ -232,16 +202,16 @@ def _quadratic_form(padded, m: int, count: int, phi_columns) -> np.ndarray:
 
 
 def _factorize(kernel: KernelSpec, support, lam: float):
-    """Cholesky factor of G + M lambda I, and the classifier at each support point.
+    """Padded Cholesky factor of G + M lambda I, and the classifier at each support point.
 
-    The factor is an M x M view into the buffer _quadratic_form solves
-    against: one zeroed array of the padded order, the only M x M array of a
-    fit.  G is built into its first M^2 entries, as a Fortran-order M x M
-    array, and LAPACK's dpotrf factors G + M lambda I there in place.  The
-    lower dpotrf never references the strict upper triangle, so G's upper
-    half survives it.  The columns are then moved to the padded stride, last
-    first, and the padding set to zero rows and an identity block; L has the
-    bits of an unpadded factorization.  Each training phi block, G's columns
+    The buffer returned is the one _quadratic_form solves against: one zeroed
+    array of the padded order, the only M x M array of a fit, with L in its
+    first M rows and columns.  G is built into its first M^2 entries, as a
+    Fortran-order M x M array, and LAPACK's dpotrf factors G + M lambda I
+    there in place.  The lower dpotrf never references the strict upper
+    triangle, so G's upper half survives it.  The columns are then moved to
+    the padded stride, last first, and the padding set to zero rows and an
+    identity block; L has the bits of an unpadded factorization.  Each training phi block, G's columns
     start to stop, is read off the buffer: the strict upper triangle, its
     mirror and the unit diagonal.  The triangular solve reads only the lower
     triangle, and once a block is read its columns' strict upper triangle is
@@ -252,8 +222,8 @@ def _factorize(kernel: KernelSpec, support, lam: float):
     failure means corrupt input.
     """
     m = support.shape[0]
-    padded = _identity_padded(m)
-    order = padded.shape[0]
+    order = _padded_order(m)
+    padded = np.zeros((order, order), order="F")
     flat = padded.reshape(-1, order="F")
     a = flat[:m * m].reshape((m, m), order="F")
     # Through the C-order view a.T each row block's stores are contiguous; G is
@@ -269,6 +239,8 @@ def _factorize(kernel: KernelSpec, support, lam: float):
         for j in range(m - 1, 0, -1):
             flat[j * order:j * order + m] = flat[j * m:j * m + m]
         padded[m:, :m] = 0.0
+        pad = np.arange(m, order)
+        padded[pad, pad] = 1.0
     factor = padded[:m, :m]
 
     def train_phi(start, stop):
@@ -283,7 +255,7 @@ def _factorize(kernel: KernelSpec, support, lam: float):
         square -= upper  # G - G is +0.0 above the diagonal; L - 0 keeps L's bits
         return phi
 
-    return factor, _quadratic_form(padded, m, m, train_phi)
+    return padded, _quadratic_form(padded, m, m, train_phi)
 
 
 def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
@@ -292,9 +264,7 @@ def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
     Factorizes G + M lambda I and evaluates the classifier at every training
     point; the model's tau is 1 - min of those values.
     """
-    lam = config.resolve_lambda(samples.size)
-    factor, train_values = _factorize(config.kernel, samples.points, lam)
-    return SupportModel(samples.points, config.kernel, lam, factor, train_values)
+    return SupportModel(samples.points, config.kernel, config.resolve_lambda(samples.size))
 
 
 def _as_queries(model: SupportModel, points) -> np.ndarray:
@@ -407,8 +377,7 @@ def load_model(path) -> SupportModel:
         stored, doc, path, "", names={"family": "kernel_family", "regularization": "lambda"}
     )
     # Outside build: a singular factorization is a numerical error, not a malformed file.
-    kernel, lam = config.kernel, config.resolve_lambda(support.shape[0])
-    model = SupportModel(support, kernel, lam, *_factorize(kernel, support, lam))
+    model = SupportModel(support, config.kernel, config.resolve_lambda(support.shape[0]))
     if not abs(tau - model.tau) <= _TAU_TOLERANCE:
         raise ModelFormatError(
             f"{path}: field tau {tau!r} does not match "

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schema import FieldError, finite
+from .schema import FieldError, positive_number
 
 ABEL = "abel"
 GAUSSIAN = "gaussian"
@@ -33,8 +33,7 @@ class KernelSpec:
         if self.family not in _FAMILIES:
             raise FieldError("family", f"must be one of {_FAMILIES}, got {self.family!r}")
         bw = self.bandwidth
-        number = isinstance(bw, (int, float)) and not isinstance(bw, bool)
-        if not (number and finite(bw) and bw > 0):
+        if not positive_number(bw):
             raise FieldError("bandwidth", f"must be a positive finite number, got {bw!r}")
 
 

@@ -69,6 +69,12 @@ def finite(number) -> bool:
         return False
 
 
+def positive_number(value) -> bool:
+    """Whether ``value`` is a positive finite int or float; a bool is not a number here."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    return number and finite(value) and value > 0
+
+
 def _finite(value, path, name):
     """Reject a JSON number, alone or inside arrays, that is not a finite double.
 

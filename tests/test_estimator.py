@@ -26,12 +26,12 @@ from kernelreach import (
 from kernelreach import estimator
 from kernelreach.estimator import (
     _MIN_WIDTH,
-    _factorize,
     _padded_order,
     _quadratic_form,
     _query_block,
 )
 from kernelreach.kernels import gram, kernel_matrix
+from kernelreach.schema import FieldError
 
 
 def _block(m):
@@ -145,11 +145,11 @@ def test_factor_matches_numpy_cholesky(m, family, lam):
     points = rng.uniform(-1.0, 1.0, size=(m, 2))
     spec = KernelSpec(family, 0.3)
     lam = FitConfig(spec, lam).resolve_lambda(m)
-    factor, _ = _factorize(spec, points, lam)
+    factor = SupportModel(points, spec, lam).factor
     assert np.array_equal(factor, np.tril(factor))
     a = gram(spec, points).entries + m * lam * np.eye(m)
     assert np.abs(factor - np.linalg.cholesky(a)).max() <= 1e-15
-    assert np.array_equal(factor, _factorize(spec, points, lam)[0])
+    assert np.array_equal(factor, SupportModel(points, spec, lam).factor)
 
 
 def test_fit_coincident_samples_raise_linalg_error():
@@ -179,9 +179,8 @@ def test_fit_buffer_holds_gram_then_factor(monkeypatch, m, family, lam):
         return result
 
     monkeypatch.setattr(estimator.lapack, "dpotrf", spy)
-    factor, train_values = _factorize(spec, points, lam)
+    model = SupportModel(points, spec, lam)
     monkeypatch.undo()
-    model = SupportModel(points, spec, lam, factor, train_values)
     assert np.shares_memory(seen["buffer"], model._padded)
     regularized = g.copy()
     regularized[np.diag_indices(m)] += m * lam
@@ -232,22 +231,56 @@ def test_load_model_peak_memory_is_one_m_by_m_buffer(tmp_path):
     assert peak <= 1.25 * order * order * 8
 
 
-def test_built_model_is_checked_against_its_support():
-    # a factor or training values of another size would be solved against the support
-    support = np.random.default_rng(7).uniform(-1.0, 1.0, size=(5, 2))
+@pytest.mark.parametrize("m", [1, 7, 129, 1021])
+def test_built_model_is_the_fitted_model_and_round_trips(tmp_path, m):
+    # the constructor derives the factor and training values that fit and
+    # load_model derive, from the support, kernel and lambda alone
+    rng = np.random.default_rng(m)
+    points = rng.uniform(-1.0, 1.0, size=(m, 2))
     spec = KernelSpec("abel", 0.5)
-    with pytest.raises(ValueError, match=r"^factor must be \(5, 5\) .* got shape \(3, 3\)"):
-        SupportModel(support, spec, 0.2, np.eye(3), np.ones(3))
-    with pytest.raises(ValueError, match=r"^factor must be \(5, 5\)"):
-        SupportModel(support, spec, 0.2, np.ones(5), np.ones(5))
-    for values in (np.ones(3), np.ones((5, 1)), [1.0, 1.0, np.nan, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="^train_values must be 5 finite numbers"):
-            SupportModel(support, spec, 0.2, np.eye(5), values)
-    model = fit(SampleSet(support), FitConfig(spec))
-    # a factor given as a list builds the model a factor array builds
-    built = SupportModel(support, spec, model.lam, model.factor.tolist(), list(model.train_values))
-    queries = np.random.default_rng(8).uniform(-1.0, 1.0, size=(10, 2))
-    assert np.array_equal(decision_values(built, queries), decision_values(model, queries))
+    built = SupportModel(points, spec, 1.0 / m)
+    fitted = fit(SampleSet(points), FitConfig(spec))
+    path = tmp_path / "model.json"
+    save_model(built, path)
+    loaded = load_model(path)
+    assert loaded.tau == built.tau == fitted.tau
+    assert not (built.factor.flags.writeable or built.train_values.flags.writeable)
+    for model in (fitted, loaded):
+        assert np.array_equal(model.factor, built.factor)
+        assert np.array_equal(model.train_values, built.train_values)
+    queries = rng.uniform(-1.0, 1.0, size=(300, 2))
+    assert np.array_equal(decision_values(built, queries), decision_values(fitted, queries))
+
+
+@pytest.mark.parametrize("field, kernel, lam", [
+    ("lam", KernelSpec(), -1.0),
+    ("lam", KernelSpec(), 0.0),
+    ("lam", KernelSpec(), float("nan")),
+    ("lam", KernelSpec(), float("inf")),
+    ("lam", KernelSpec(), 10**400),
+    ("lam", KernelSpec(), True),
+    ("lam", KernelSpec(), "0.5"),
+    ("lam", KernelSpec(), None),
+    ("kernel", "abel", 0.5),
+    ("kernel", None, 0.5),
+    ("kernel", FitConfig(), 0.5),
+])
+def test_built_model_rejects_a_bad_kernel_or_lambda(field, kernel, lam):
+    with pytest.raises(FieldError) as info:
+        SupportModel([[0.0, 0.0], [1.0, 0.5]], kernel, lam)
+    assert info.value.field == field
+    assert str(info.value).startswith(f"{field} must be ")
+
+
+def test_built_model_takes_no_factor():
+    # a factor or training values of the caller's could give a wrong tau
+    with pytest.raises(TypeError):
+        SupportModel(np.zeros((5, 2)), KernelSpec("abel", 0.5), 0.2, np.eye(5), np.ones(5))
+
+
+def test_models_compare_by_identity():
+    model, twin = (SupportModel([[0.0, 0.0], [1.0, 0.5]], KernelSpec(), 0.5) for _ in range(2))
+    assert model == model and model != twin
 
 
 def test_decision_matches_dense_inverse_oracle():

@@ -28,8 +28,6 @@ from kernelreach import (
 _SPEC = KernelSpec("abel", 0.5)
 _MODEL = fit(SampleSet([[0.0, 0.0], [0.5, 0.5], [1.0, 0.0]]), FitConfig(_SPEC))
 _CLOUD = np.array([[0.0, 0.0], [1.0, 1.0]])
-# a factor and training values of the cloud's own size, which a SupportModel checks
-_CLOUD_MODEL = fit(SampleSet(_CLOUD), FitConfig(_SPEC))
 
 _BAD = {
     "nan": [[0.0, np.nan], [1.0, 1.0]],
@@ -42,12 +40,7 @@ _WRONG_WIDTH = np.zeros((2, 3))
 # name -> (call with one point array, whether a width is fixed by a model or cloud)
 _ENTRIES = {
     "SampleSet": (SampleSet, False),
-    "SupportModel": (
-        lambda pts: SupportModel(
-            pts, _SPEC, _CLOUD_MODEL.lam, _CLOUD_MODEL.factor, _CLOUD_MODEL.train_values
-        ),
-        False,
-    ),
+    "SupportModel": (lambda pts: SupportModel(pts, _SPEC, 0.5), False),
     "gram": (lambda pts: gram(_SPEC, pts), False),
     "kernel_eval": (lambda pts: kernel_eval(_SPEC, *pts), False),
     "decision_values": (lambda pts: decision_values(_MODEL, pts), True),

@@ -1047,10 +1047,7 @@ def test_range_checks_reject_out_of_range_values(tmp_path, name):
 # Constructors that keep arrays: each builds one from a (2, 2) array and returns what it kept.
 _KEEPERS = {
     "SampleSet": lambda a: [SampleSet(a).points],
-    "SupportModel": lambda a: [SupportModel(a, KernelSpec(), 0.5, np.eye(2), np.ones(2)).support],
-    "SupportModel.train_values": lambda a: [
-        SupportModel([[0.0], [1.0]], KernelSpec(), 0.5, np.eye(2), row).train_values for row in a
-    ],
+    "SupportModel": lambda a: [SupportModel(a, KernelSpec(), 0.5).support],
     "MlpLayer": lambda a: [MlpLayer(a, np.zeros(2), "linear").weights],
     "MlpController": lambda a: list(MlpController((_LINEAR,), saturation=(a[0], a[1])).saturation),
     "CwhSystem": lambda a: [CwhSystem(input_sequence=a).input_sequence],
