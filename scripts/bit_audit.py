@@ -12,8 +12,9 @@ master seed, and two more lines with master seed 2**64 + 7, CWH at M=5000
 and TORA with Beta disturbance at M=4100, cross the sampler's 4096-sample
 block boundary: these cover the simulator's bits directly, the TORA
 integrator and the disturbance chunk at the block edge included.  The
-script then runs experiments.py and disk_convergence.py into a temporary
-directory and prints the digest of every file they write.
+script then runs ``kernelreach run`` on each shipped config and
+disk_convergence.py into a temporary directory and prints the digest of
+every file they write.
 
 The first line names what the bits depend on besides the code: the numpy and
 scipy versions, the build of scipy's OpenBLAS and its thread count.  So
@@ -93,14 +94,18 @@ def sample_line(name, m=None, seed=None) -> str:
 
 
 def script_lines():
-    """Digests of the files experiments.py and disk_convergence.py write."""
+    """Digests of every file ``kernelreach run`` writes on the shipped configs, then of
+    every file disk_convergence.py writes."""
     with tempfile.TemporaryDirectory() as tmp:
-        for script in ("experiments.py", "disk_convergence.py"):
-            outdir = Path(tmp) / script
-            subprocess.run([sys.executable, str(SCRIPTS / script), str(outdir)],
-                           check=True, capture_output=True)
+        outdirs = {"run": Path(tmp) / "run", "disk_convergence.py": Path(tmp) / "disk"}
+        for config in sorted(CONFIGS.glob("*.json")):
+            subprocess.run([sys.executable, "-m", "kernelreach", "run", "--config", str(config),
+                            "--out", str(outdirs["run"])], check=True, capture_output=True)
+        subprocess.run([sys.executable, str(SCRIPTS / "disk_convergence.py"),
+                        str(outdirs["disk_convergence.py"])], check=True, capture_output=True)
+        for label, outdir in outdirs.items():
             for path in sorted(outdir.iterdir()):
-                yield f"{script} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+                yield f"{label} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
 def environment_line() -> str:

@@ -1,4 +1,4 @@
-"""Command-line front end: simulate, fit, query, contour, validate, sweep.
+"""Command-line front end: simulate, fit, query, contour, validate, sweep, run.
 
 All commands are deterministic given their input files and flags; wall-time
 reports go to the terminal, never into data files.  Exit codes: 0 success,
@@ -59,6 +59,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+
+# The fresh draws `run` checks a fitted model against.
+FRESH_SIZE = 1000
+FRESH_SEED = 90210
 
 
 @dataclass
@@ -261,6 +265,37 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def cmd_run(args) -> int:
+    """The paper's pipeline on one config: sample, fit, contour at 1 - tau, validate."""
+    config = load_run_config(args.config)
+    if config.grid is None:
+        raise ConfigError(f"{args.config}: missing field grid, which run draws the boundary on")
+    marks = [time.perf_counter()]
+    train = sample_terminal_states(config.system, config.sample_size, config.master_seed)
+    marks.append(time.perf_counter())
+    model = fit(train, config.fit)
+    marks.append(time.perf_counter())
+    values = grid_decision_values(model, config.grid)
+    contour = extract_contour(values, config.grid, 1.0 - model.tau)
+    marks.append(time.perf_counter())
+    fresh = sample_terminal_states(config.system, FRESH_SIZE, FRESH_SEED).points
+    rate = containment_rate(model, fresh)
+    distance = hausdorff(fresh, model.support, metric=model.kernel)
+    marks.append(time.perf_counter())
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    name = Path(args.config).stem
+    save_sample_csv(train, out / f"{name}_terminal_states.csv")
+    save_model(model, out / f"{name}_model.json")
+    write_contour_csv(contour, out / f"{name}_boundary.csv")
+    stages = zip(("sample", "fit", "contour", "validate"), marks, marks[1:])
+    print(f"{name}: M={model.size} tau={model.tau:.6f} segments={contour.segments.shape[0]} "
+          f"containment={rate:.4f} hausdorff={distance:.6f} "
+          f"({', '.join(f'{stage} {end - start:.3f}s' for stage, start, end in stages)})")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernelreach",
@@ -309,6 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated master seeds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sweep)
+
+    p = sub.add_parser("run", help="sample, fit, contour and validate a config in one process")
+    p.add_argument("--config", required=True)
+    p.add_argument("--out", required=True, help="directory for the three output files")
+    p.set_defaults(func=cmd_run)
     return parser
 
 

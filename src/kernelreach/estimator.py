@@ -96,9 +96,7 @@ class FitConfig:
 
     def __post_init__(self):
         reg = self.regularization
-        if reg != RECIPROCAL_M and (
-            isinstance(reg, (str, bool)) or not (finite(reg) and reg > 0)
-        ):
+        if reg != RECIPROCAL_M and not positive_number(reg):
             raise FieldError(
                 "regularization", f"must be a positive number or {RECIPROCAL_M!r}, got {reg!r}"
             )

@@ -881,3 +881,72 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
     assert f"error: {config}: must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["cwh_rendezvous", "tora", "tora_beta"])
+def test_run_writes_what_the_command_chain_writes(tmp_path, capsys, name):
+    config = REPO_CONFIGS / f"{name}.json"
+    doc = json.loads(config.read_text())
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+
+    samples, model_path, boundary = tmp_path / "s.csv", tmp_path / "m.json", tmp_path / "b.csv"
+    grid_path, fresh_config, fresh = tmp_path / "g.json", tmp_path / "f.json", tmp_path / "f.csv"
+    grid_path.write_text(json.dumps(doc["grid"]))
+    fresh_config.write_text(json.dumps({**doc, "sample_size": 1000}))
+    fit_doc = doc["fit"]
+    assert main(["simulate", "--config", str(config), "--out", str(samples)]) == 0
+    assert main(["fit", "--samples", str(samples), "--kernel", fit_doc["kernel_family"],
+                 "--sigma", str(fit_doc["bandwidth"]), "--lambda", str(fit_doc["lambda"]),
+                 "--out", str(model_path)]) == 0
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(boundary)]) == 0
+    assert main(["simulate", "--config", str(fresh_config), "--seed", "90210",
+                 "--out", str(fresh)]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--model", str(model_path), "--samples", str(fresh)]) == 0
+    validated = capsys.readouterr().out.split()
+    rate, distance = (float(field.split("=")[1]) for field in validated[1:])
+
+    for chained, written in [(samples, "terminal_states.csv"), (model_path, "model.json"),
+                             (boundary, "boundary.csv")]:
+        assert (out / f"{name}_{written}").read_bytes() == chained.read_bytes()
+    assert len(list(out.iterdir())) == 3
+    segments = len(boundary.read_text().splitlines()) - 1
+    assert segments > 0
+    assert printed[0].startswith(
+        f"{name}: M={doc['sample_size']} tau={load_model(model_path).tau:.6f} "
+        f"segments={segments} containment={rate:.4f} hausdorff={distance:.6f} (sample ")
+    assert len(printed) == 1
+
+
+def test_run_fits_with_the_config_fit(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    doc = _write_cwh_config(config)
+    doc["fit"] = {"kernel_family": "gaussian", "bandwidth": 0.2, "lambda": 0.05}
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    model = load_model(tmp_path / "run_model.json")
+    assert (model.kernel.family, model.kernel.bandwidth, model.lam) == ("gaussian", 0.2, 0.05)
+
+
+def test_run_without_a_grid_exits_2(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    _write_cwh_config(config, grid=False)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+    assert f"error: {config}: missing field grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_out_below_a_regular_file_exits_3(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    _write_cwh_config(config)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    assert main(["run", "--config", str(config), "--out", str(blocker / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "run.json"]
+    assert blocker.read_text() == "a file\n"

@@ -73,6 +73,10 @@ def test_lambda_rules():
         FitConfig(regularization="half").resolve_lambda(10)
     with pytest.raises(ValueError):
         FitConfig(regularization=10**400)
+    for bad in ("0.5", True, -1.0, float("nan"), None, [0.5]):
+        with pytest.raises(FieldError) as info:
+            FitConfig(KernelSpec(), bad)
+        assert info.value.field == "regularization"
 
 
 def test_fit_single_point_closed_form():
