@@ -3,15 +3,17 @@
 
 Each case of the standard matrix (23 sample sizes, three kernels, lambda 1/M
 and 0.013) fits the classifier to a seeded uniform sample and prints one
-line: tau; whether the first 64 queries, each taken one at a time, give the
-same bits as the batch (``single=same`` or ``single=moved``); and the digests
-of the Gram matrix G, the Cholesky factor L, the training values and the
-classifier values at 300 query points.  Then one ``samples`` line per shipped
-config gives the digest of ``sample_terminal_states`` at the config's M and
-master seed, and two more lines with master seed 2**64 + 7, CWH at M=5000
-and TORA with Beta disturbance at M=4100, cross the sampler's 4096-sample
-block boundary: these cover the simulator's bits directly, the TORA
-integrator and the disturbance chunk at the block edge included.  The
+line: tau; whether the queries in the batch's first solve block, each taken
+one at a time, give the same bits as the batch (``single=same`` or
+``single=moved``; a block is 128 columns from the padded order 128 up and
+wider below it, so all 300 queries are checked below order 56); and the
+digests of the Gram matrix G, the Cholesky factor L, the training values and
+the classifier values at 300 query points.  Then one ``samples`` line per
+shipped config gives the digest of ``sample_terminal_states`` at the
+config's M and master seed, and two more lines with master seed 2**64 + 7,
+CWH at M=5000 and TORA with Beta disturbance at M=4100, cross the sampler's
+4096-sample block boundary: these cover the simulator's bits directly, the
+TORA integrator and the disturbance chunk at the block edge included.  The
 script then runs ``kernelreach run`` on each shipped config and
 disk_convergence.py into a temporary directory and prints the digest of
 every file they write.
@@ -46,6 +48,7 @@ from kernelreach import (
     sample_terminal_states,
 )
 from kernelreach.cli import load_run_config
+from kernelreach.estimator import _padded_order, _query_block
 
 SCRIPTS = Path(__file__).resolve().parent
 CONFIGS = SCRIPTS.parent / "configs"
@@ -57,7 +60,6 @@ LAMBDAS = (RECIPROCAL_M, 0.013)
 CASES = [(family, n, sigma, m, lam)
          for family, n, sigma in KERNELS for lam in LAMBDAS for m in SIZES]
 QUERIES = 300
-SINGLES = 64
 # (config, M, master seed); None takes the config's own value
 SAMPLES = (("cwh_rendezvous", None, None), ("tora", None, None), ("tora_beta", None, None),
            ("cwh_rendezvous", 5000, 2**64 + 7), ("tora_beta", 4100, 2**64 + 7))
@@ -75,8 +77,9 @@ def audit_case(family, n, sigma, m, lam) -> str:
     kernel = KernelSpec(family, sigma)
     model = fit(SampleSet(support), FitConfig(kernel, lam))
     values = decision_values(model, queries)
-    singles = [decision_values(model, query)[0] for query in queries[:SINGLES]]
-    single = "same" if np.array_equal(singles, values[:SINGLES]) else "moved"
+    block = _query_block(_padded_order(m))
+    singles = [decision_values(model, query)[0] for query in queries[:block]]
+    single = "same" if np.array_equal(singles, values[:block]) else "moved"
     label = "1/M" if lam == RECIPROCAL_M else repr(lam)
     return (f"{family} n={n} sigma={sigma} M={m} lambda={label} tau={model.tau!r} "
             f"single={single} G={digest(gram(kernel, support).entries)} "

@@ -31,28 +31,36 @@ CLASSIFY_SLACK = 1e-12
 
 # Queries are solved against the Cholesky factor padded to an order that is a
 # multiple of _PAD: L, then an identity block below and right of it, with the
-# phi rows below M zero.  Each call solves its queries in blocks of
-# _query_block(order) columns; only the last block is narrower, as wide as its
-# queries but never narrower than _MIN_WIDTH, so one query solves 2 columns.
-# At a padded order OpenBLAS's triangular solve gave every column the same
-# bits in every position of a block and at every width from 2 to 64 (SkylakeX
-# core, 1 and 2 BLAS threads, about 200 sizes from M = 2 to 1704), and up to
-# the block width at every M from 1 to 513, so batched, chunked and
+# phi rows below M zero.  Queries and training values alike are solved in
+# blocks of _query_block(order) = max(128, 16384 // order) columns; only the
+# last block is narrower, as wide as its points but never narrower than
+# _MIN_WIDTH, so one query solves 2 columns.  At a padded order OpenBLAS's
+# triangular solve gave every column the same bits in every position of a
+# block and at every width from 2 to 256 (SkylakeX core; every M from 1 to
+# 1601 with 2 BLAS threads, every 7th with 1), so batched, chunked and
 # one-at-a-time evaluation agree bitwise; padding to 16 or 32 gave the same
 # bits as 8 there, at a larger solve.  Unpadded, a value's last bit depended
 # on its column's position at most M above 384 that are not multiples of 8; a
-# single column takes another kernel and other bits at most sizes.  64
-# columns was measured against 32, 128 and 256 (2 vCPUs, 2 BLAS threads): a
-# large batch costs about the same per column (M=1600: 94 us against 95 us at
-# 256 and 109 us at 32).  Below order 256 a block is wider, holding the
-# _QUERY_ENTRIES entries of 64 columns at order 256, because there a solve
-# costs its call, not its columns: 10,000 queries at M=3 took 10.9 ms in
-# 64-column blocks and 1.9 ms in 2048-column ones.  Blocks of 64 columns at
-# order 1024 (8192 columns at M=3) took 1.6 ms but held 1.0 MB instead of 0.4.
+# single column takes another kernel and other bits at most sizes.
+#
+# A wider solve costs less a column: at M = 1600, 48-49 us 64 wide, 39-42 us
+# 128 wide and 34-39 us 256 wide with 2 BLAS threads (70, 61 and 58 us with
+# one).  Phi is filled at most _FILL_ENTRIES entries at a time, so the
+# kernel's two temporaries stay in a 2 MB L2 at any block width: 2,500
+# columns at M = 1600 took 26-34 ms in pieces, and built a whole block at a
+# time 31-37 ms in 64- or 128-column blocks but 64-69 ms in 256-column ones.
+# 128 and not 256: a 256-column block takes a fit's traced peak at M = 1024
+# to 1.27 M^2 doubles and a load's at M = 1021 to 1.29 padded ones, past the
+# 1.25 their tests allow; at 128 both peaks are still the Gram build's, 1.20
+# and 1.21.  Below order 128 a block is wider, holding _QUERY_ENTRIES
+# entries, because there a solve costs its call, not its columns: 10,000
+# queries at M=3 took 10.9 ms in 64-column blocks and 1.9 ms in 2048-column
+# ones.
 _PAD = 8
-_QUERY_BLOCK = 64
-_QUERY_ENTRIES = 64 * 256
+_QUERY_BLOCK = 128
+_QUERY_ENTRIES = 128 * 128
 _MIN_WIDTH = 2
+_FILL_ENTRIES = 2**16
 
 # Allowed gap between a model file's tau and the recomputed one (BLAS rounding).
 _TAU_TOLERANCE = 1e-9
@@ -161,29 +169,34 @@ def _padded_order(m: int) -> int:
 
 
 def _query_block(order: int) -> int:
-    """Columns a query block solves at a padded order: 64, or _QUERY_ENTRIES entries."""
+    """Columns a query block solves at a padded order: 128, or _QUERY_ENTRIES entries."""
     return max(_QUERY_BLOCK, _QUERY_ENTRIES // order)
 
 
-def _quadratic_form(padded, m: int, count: int, phi_columns) -> np.ndarray:
+def _quadratic_form(padded, m: int, count: int, fill) -> np.ndarray:
     """F = phi' (G + M lambda I)^{-1} phi at ``count`` points, as ||L^{-1} phi||^2.
 
-    ``phi_columns(start, stop)`` gives the (M, stop - start) phi columns of
-    points start to stop.  They are copied into the first M rows of one
+    ``fill(start, stop, out)`` writes the phi columns of points start to stop
+    into ``out``, an (M, stop - start) view of the first M rows of one
     Fortran-order buffer of the padded factor's order, whose other rows are
-    zero, and solved against ``padded`` in place, _query_block columns at a
-    time and at least _MIN_WIDTH.  Only the first M rows are squared and
+    zero.  It is called for pieces of at most _FILL_ENTRIES entries (one
+    column at least), in increasing order, until a block of _query_block
+    columns is full; the block, at least _MIN_WIDTH wide, is then solved
+    against ``padded`` in place.  Only the first M rows are squared and
     summed, so each sum has M terms in the same order at every padding.  The
     sum of squares keeps every value nonnegative in floating point.
     """
     out = np.empty(count)
     block_width = _query_block(padded.shape[0])
+    piece = max(1, _FILL_ENTRIES // m)
     phi = np.empty((padded.shape[0], min(block_width, max(count, _MIN_WIDTH))), order="F")
     for start in range(0, count, block_width):
         stop = min(start + block_width, count)
         width = stop - start
         block = phi[:, :max(width, _MIN_WIDTH)]
-        block[:m, :width] = phi_columns(start, stop)
+        for first in range(0, width, piece):
+            last = min(first + piece, width)
+            fill(start + first, start + last, block[:m, first:last])
         block[m:, :width] = 0.0
         block[:, width:] = 0.0
         if m == 1:
@@ -209,11 +222,12 @@ def _factorize(kernel: KernelSpec, support, lam: float):
     there in place.  The lower dpotrf never references the strict upper
     triangle, so G's upper half survives it.  The columns are then moved to
     the padded stride, last first, and the padding set to zero rows and an
-    identity block; L has the bits of an unpadded factorization.  Each training phi block, G's columns
-    start to stop, is read off the buffer: the strict upper triangle, its
-    mirror and the unit diagonal.  The triangular solve reads only the lower
-    triangle, and once a block is read its columns' strict upper triangle is
-    zeroed; later blocks read only columns to their right.  dpotrf comes
+    identity block; L has the bits of an unpadded factorization.  Each
+    training phi piece, G's columns start to stop, is written from the buffer
+    straight into the solve block: the strict upper triangle, its mirror and
+    the unit diagonal.  The triangular solve reads only the lower triangle,
+    and once a piece is read its columns' strict upper triangle is zeroed;
+    later pieces read only columns to their right.  dpotrf comes
     from scipy's OpenBLAS, as the triangular solves do; numpy bundles
     another, and the two libraries' thread pools slow each other down when
     calls alternate.  The matrix is positive definite for any lambda > 0; a
@@ -241,17 +255,15 @@ def _factorize(kernel: KernelSpec, support, lam: float):
         padded[pad, pad] = 1.0
     factor = padded[:m, :m]
 
-    def train_phi(start, stop):
-        phi = np.empty((m, stop - start))
-        phi[:start] = factor[:start, start:stop]
+    def train_phi(start, stop, out):
+        out[:start] = factor[:start, start:stop]
         square = factor[start:stop, start:stop]
         upper = np.triu(square, 1)
-        np.add(upper, upper.T, out=phi[start:stop])
-        np.fill_diagonal(phi[start:stop], 1.0)
-        phi[stop:] = factor[start:stop, stop:].T
+        np.add(upper, upper.T, out=out[start:stop])
+        np.fill_diagonal(out[start:stop], 1.0)
+        out[stop:] = factor[start:stop, stop:].T
         factor[:start, start:stop] = 0.0
         square -= upper  # G - G is +0.0 above the diagonal; L - 0 keeps L's bits
-        return phi
 
     return padded, _quadratic_form(padded, m, m, train_phi)
 
@@ -284,7 +296,9 @@ def decision_values(model: SupportModel, points) -> np.ndarray:
         model._padded,
         model.size,
         pts.shape[0],
-        lambda start, stop: kernel_matrix(model.kernel, model.support, pts[start:stop]),
+        lambda start, stop, out: np.copyto(
+            out, kernel_matrix(model.kernel, model.support, pts[start:stop])
+        ),
     )
 
 

@@ -104,12 +104,13 @@ def _read_only_copy(values) -> np.ndarray:
 def kernel_eval(spec: KernelSpec, x, y) -> float:
     """K(x, y) for two nonempty state vectors of one length; always in (0, 1].
 
-    Symmetric in its arguments bit-for-bit: the coordinate differences enter
-    only through their squares.
+    The bits of kernel_matrix(spec, [x], [y]), and so of the Gram matrix and
+    the classifier's phi: the distance is summed one coordinate at a time, as
+    ``_distances`` sums it.  Symmetric in its arguments bit-for-bit: the
+    coordinate differences enter only through their squares.
     """
-    xv, yv = _as_points((x, y), "x and y")
-    diff = xv - yv
-    return float(kernel_value_at_distance(spec, np.sqrt((diff * diff).sum())))
+    pts = _as_points((x, y), "x and y")
+    return float(kernel_matrix(spec, pts[:1], pts[1:])[0, 0])
 
 
 def kernel_metric(spec: KernelSpec, x, y) -> float:

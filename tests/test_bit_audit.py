@@ -12,7 +12,7 @@ bit_audit = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bit_audit)
 
 # one case per kernel; M=129 needs two query blocks for its training values
-# (a block holds 120 columns at its padded order 136)
+# (a block holds 128 columns at its padded order 136)
 _CASES = [("abel", 2, 0.1, 1, RECIPROCAL_M), ("abel", 4, 0.5, 129, 0.013),
           ("gaussian", 3, 0.3, 17, RECIPROCAL_M)]
 

@@ -193,7 +193,9 @@ def test_fit_buffer_holds_gram_then_factor(monkeypatch, m, family, lam):
     assert np.array_equal(model.factor, np.tril(seen["after"]))
     assert not np.triu(model.factor, 1).any()
     # the training values are G's own columns, solved as queries are
-    from_gram = _quadratic_form(model._padded, m, m, lambda start, stop: g[:, start:stop])
+    from_gram = _quadratic_form(
+        model._padded, m, m, lambda start, stop, out: np.copyto(out, g[:, start:stop])
+    )
     assert np.array_equal(model.train_values, from_gram)
 
 
@@ -233,6 +235,23 @@ def test_load_model_peak_memory_is_one_m_by_m_buffer(tmp_path):
     save_model(fit(samples, FitConfig(KernelSpec("abel", 0.1))), path)
     peak = _traced_peak(lambda: load_model(path))
     assert peak <= 1.25 * order * order * 8
+
+
+def test_query_peak_memory_is_one_solve_block_and_one_fill_piece():
+    # at M = 1600 (order 1608), 2,500 queries may hold, beyond the model and
+    # the points, one 128-column solve block, one fill piece's two kernel
+    # temporaries of at most 2**16 entries each, and the values, with 256 KiB
+    # to spare (numpy's outer subtraction buffers some 130 KB): 2.98 MB.
+    # Building a whole block's phi at once would hold two M x 128 arrays,
+    # 3.3 MB, instead of the piece's 1.0 MB, and read 5.1 MB.
+    m, count = 1600, 2500
+    rng = np.random.default_rng(4)
+    samples = SampleSet(rng.uniform(-1.0, 1.0, size=(m, 2)))
+    model = fit(samples, FitConfig(KernelSpec("abel", 0.1)))
+    queries = rng.uniform(-1.5, 1.5, size=(count, 2))
+    peak = _traced_peak(lambda: decision_values(model, queries))
+    block, piece, values = 1608 * 128 * 8, 2 * 2**16 * 8, count * 8
+    assert peak <= block + piece + values + 2**18
 
 
 @pytest.mark.parametrize("m", [1, 7, 129, 1021])
@@ -406,16 +425,17 @@ def _uniform_fit(m, family="abel", n=4, bandwidth=0.5):
     return fit(SampleSet(support), FitConfig(KernelSpec(family, bandwidth))), rng
 
 
-def test_query_block_holds_64_columns_or_as_many_entries_as_64_at_order_256():
-    assert [_block(m) for m in (1, 3, 8, 9, 64, 100, 129, 200, 249, 513, 1021, 1600)] == [
-        2048, 2048, 2048, 1024, 256, 157, 120, 81, 64, 64, 64, 64]
+def test_query_block_holds_128_columns_or_as_many_entries_as_128_at_order_128():
+    assert [_block(m) for m in (1, 3, 8, 9, 64, 100, 121, 129, 200, 249, 513, 1021, 1600)] == [
+        2048, 2048, 2048, 1024, 256, 157, 128, 128, 128, 128, 128, 128, 128]
 
 
 def test_query_bits_do_not_depend_on_block_width_or_position():
     # one query's phi column in every position of blocks of every width, at
     # sizes where an unpadded solve gave a column's last bit by its position,
-    # and at sizes below order 256, where a block is wider than 64 columns
-    for m in [1, 3, 9, 61, 100, 129, 200, *range(380, 531), *range(1015, 1036)]:
+    # at sizes below order 128, where a block is wider than 128 columns, and
+    # at 1600, disk_large_m's size, and 1601, solved at order 1608
+    for m in [1, 3, 9, 61, 100, 129, 200, *range(380, 531), *range(1015, 1036), 1600, 1601]:
         model, rng = _uniform_fit(m)
         x = rng.uniform(-1.2, 1.2, size=model.dim)
         expected = decision_value(model, x)

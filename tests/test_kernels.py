@@ -100,6 +100,19 @@ def test_eval_symmetric_bit_exact(xs, ys):
     assert kernel_eval(gauss, x, y) == kernel_eval(gauss, y, x)
 
 
+@pytest.mark.parametrize("family", ["abel", "gaussian"])
+def test_eval_is_the_kernel_matrix_entry(family):
+    # one distance routine: a sum of squares numpy reorders (from 8
+    # coordinates on) would move the last bit on some pairs
+    spec = KernelSpec(family, 0.7)
+    rng = np.random.default_rng(16)
+    for n in range(1, 17):
+        for x, y in rng.normal(size=(40, 2, n)):
+            value = kernel_matrix(spec, x[None], y[None])[0, 0]
+            assert kernel_eval(spec, x, y) == value, n
+            assert kernel_metric(spec, x, y) == np.sqrt(2.0 - 2.0 * value), n
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from(["abel", "gaussian"]))
 @settings(max_examples=50)
 def test_metric_triangle_inequality(seed, family):
