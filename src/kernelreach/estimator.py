@@ -19,7 +19,8 @@ import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
 from .atomic import atomic_write
-from .kernels import KernelSpec, _as_points, _gram_into, _read_only_copy, kernel_matrix
+from .kernels import (KernelSpec, _as_points, _block_rows, _gram_into, _read_only_copy,
+                      kernel_matrix)
 from .schema import ConfigError, FieldError, build, finite, json_object, load_json, positive_number
 
 RECIPROCAL_M = "reciprocal-m"
@@ -45,22 +46,17 @@ CLASSIFY_SLACK = 1e-12
 #
 # A wider solve costs less a column: at M = 1600, 48-49 us 64 wide, 39-42 us
 # 128 wide and 34-39 us 256 wide with 2 BLAS threads (70, 61 and 58 us with
-# one).  Phi is filled at most _FILL_ENTRIES entries at a time, so the
-# kernel's two temporaries stay in a 2 MB L2 at any block width: 2,500
-# columns at M = 1600 took 26-34 ms in pieces, and built a whole block at a
-# time 31-37 ms in 64- or 128-column blocks but 64-69 ms in 256-column ones.
-# 128 and not 256: a 256-column block takes a fit's traced peak at M = 1024
-# to 1.27 M^2 doubles and a load's at M = 1021 to 1.29 padded ones, past the
-# 1.25 their tests allow; at 128 both peaks are still the Gram build's, 1.20
-# and 1.21.  Below order 128 a block is wider, holding _QUERY_ENTRIES
-# entries, because there a solve costs its call, not its columns: 10,000
-# queries at M=3 took 10.9 ms in 64-column blocks and 1.9 ms in 2048-column
-# ones.
+# one); phi is filled one distance block at a time at any width.  128 and not
+# 256: a 256-column block takes a fit's traced peak at M = 1024 to 1.27 M^2
+# doubles and a load's at M = 1021 to 1.29 padded ones, past the 1.25 their
+# tests allow; at 128 both peaks are still the Gram build's, 1.20 and 1.21.
+# Below order 128 a block is wider, holding _QUERY_ENTRIES entries, because
+# there a solve costs its call, not its columns: 10,000 queries at M=3 took
+# 10.9 ms in 64-column blocks and 1.9 ms in 2048-column ones.
 _PAD = 8
 _QUERY_BLOCK = 128
 _QUERY_ENTRIES = 128 * 128
 _MIN_WIDTH = 2
-_FILL_ENTRIES = 2**16
 
 # Allowed gap between a model file's tau and the recomputed one (BLAS rounding).
 _TAU_TOLERANCE = 1e-9
@@ -179,16 +175,16 @@ def _quadratic_form(padded, m: int, count: int, fill) -> np.ndarray:
     ``fill(start, stop, out)`` writes the phi columns of points start to stop
     into ``out``, an (M, stop - start) view of the first M rows of one
     Fortran-order buffer of the padded factor's order, whose other rows are
-    zero.  It is called for pieces of at most _FILL_ENTRIES entries (one
-    column at least), in increasing order, until a block of _query_block
-    columns is full; the block, at least _MIN_WIDTH wide, is then solved
-    against ``padded`` in place.  Only the first M rows are squared and
-    summed, so each sum has M terms in the same order at every padding.  The
-    sum of squares keeps every value nonnegative in floating point.
+    zero.  It is called for pieces of at most _block_rows(M) columns, in
+    increasing order, until a block of _query_block columns is full; the
+    block, at least _MIN_WIDTH wide, is then solved against ``padded`` in
+    place.  Only the first M rows are squared and summed, so each sum has M
+    terms in the same order at every padding.  The sum of squares keeps
+    every value nonnegative in floating point.
     """
     out = np.empty(count)
     block_width = _query_block(padded.shape[0])
-    piece = max(1, _FILL_ENTRIES // m)
+    piece = _block_rows(m)
     phi = np.empty((padded.shape[0], min(block_width, max(count, _MIN_WIDTH))), order="F")
     for start in range(0, count, block_width):
         stop = min(start + block_width, count)

@@ -15,7 +15,8 @@ from .estimator import (
     decision_values,
     fit,
 )
-from .kernels import KernelSpec, _as_points, _distances, kernel_value_at_distance
+from .kernels import (KernelSpec, _as_points, _block_rows, _distances, _metric_of_value,
+                      kernel_value_at_distance)
 from .schema import FieldError, finite
 from .systems import SystemConfig, child_seed, sample_terminal_states
 
@@ -23,10 +24,6 @@ from .systems import SystemConfig, child_seed, sample_terminal_states
 # outside any per-trajectory stream index so it never collides with training
 # draws.
 _FRESH_STREAM = 2**32
-
-# Distances a Hausdorff block holds (8 MB), unless one row, the size of the
-# second cloud, is longer.
-_HAUSDORFF_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def _in_metric(distance, metric) -> float:
     # sqrt(2 - 2 K(d)) is nondecreasing in d, so it maps the Euclidean max-min
     # onto the kernel-metric max-min.
     if isinstance(metric, KernelSpec):
-        return float(np.sqrt(2.0 - 2.0 * kernel_value_at_distance(metric, distance)))
+        return float(_metric_of_value(kernel_value_at_distance(metric, distance)))
     if metric != "euclidean":
         raise ValueError(f"metric must be 'euclidean' or a KernelSpec, got {metric!r}")
     return float(distance)
@@ -210,14 +207,14 @@ def _in_metric(distance, metric) -> float:
 def _nearest(a, b):
     """Distance from each point of ``a`` to its nearest in ``b``, and from each of ``b`` to ``a``.
 
-    Distances are taken a block of rows of ``a`` at a time, so no (len(a),
-    len(b)) matrix is built.  Each distance is the same elementwise arithmetic
-    in any block and min is exact, so the result does not depend on the blocks.
+    Distances are taken _block_rows(len(b)) rows of ``a`` at a time, so no
+    (len(a), len(b)) matrix is built.  Each distance is the same arithmetic in
+    any block and min is exact, so the result does not depend on the blocks.
     """
     a, b = _as_cloud(a, "a"), _as_cloud(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    rows = max(1, _HAUSDORFF_BLOCK // b.shape[0])
+    rows = _block_rows(b.shape[0])
     to_b = np.empty(a.shape[0])
     to_a = np.full(b.shape[0], np.inf)
     for start in range(0, a.shape[0], rows):

@@ -34,7 +34,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .atomic import atomic_write
 from .estimator import SampleSet
 from .kernels import _read_only_copy
-from .schema import FieldError, build, load_json, typed
+from .schema import FieldError, build, finite, load_json, typed
 
 # Admissible thrust box for the CWH system: each input coordinate must lie
 # in [-CWH_INPUT_LIMIT, CWH_INPUT_LIMIT].
@@ -187,6 +187,16 @@ def _stream_generators(master_seed: int, start: int, stop: int) -> list:
 # Generator as one-step calls would: numpy draws variates element by element, row-major.
 
 
+def _check_finite(owner, names, positive=False) -> None:
+    """Raise a FieldError naming the first field of ``names`` not finite (or not positive)."""
+    for name in names:
+        value = getattr(owner, name)
+        if positive and not value > 0:
+            raise FieldError(name, f"must be positive, got {value!r}")
+        if not finite(value):
+            raise FieldError(name, f"must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoDisturbance:
     def sample(self, rng, steps: int) -> np.ndarray:
@@ -243,9 +253,8 @@ class ScaledBetaDisturbance:
     mask: tuple[bool, ...] = None
 
     def __post_init__(self):
-        for name in ("alpha", "beta"):
-            if not getattr(self, name) > 0:
-                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
+        _check_finite(self, ("alpha", "beta"), positive=True)
+        _check_finite(self, ("scale",))
         if self.dims < 1:
             raise FieldError("dims", f"must be at least 1, got {self.dims}")
         if self.mask is not None:
@@ -349,6 +358,7 @@ class SaturatedFeedback:
     saturation: float = 1.0
 
     def __post_init__(self):
+        _check_finite(self, ("k1", "k2"))
         # a negative bound would clamp every control to that bound
         if not self.saturation >= 0:
             raise FieldError("saturation", f"must be nonnegative, got {self.saturation!r}")
@@ -481,9 +491,7 @@ class CwhSystem:
     input_sequence: tuple = None
 
     def __post_init__(self):
-        for name in ("omega", "mass", "dt"):
-            if not getattr(self, name) > 0:
-                raise FieldError(name, f"must be positive, got {getattr(self, name)!r}")
+        _check_finite(self, ("omega", "mass", "dt"), positive=True)
         if self.input_sequence is not None:
             seq = _read_only_copy(self.input_sequence)
             if seq.ndim != 2 or seq.shape[1] != 2 or not np.all(np.isfinite(seq)):
@@ -506,8 +514,7 @@ class ToraSystem:
     integrator_substeps: int = 10
 
     def __post_init__(self):
-        if not self.control_period > 0:
-            raise FieldError("control_period", f"must be positive, got {self.control_period!r}")
+        _check_finite(self, ("control_period",), positive=True)
         if self.integrator_substeps < 1:
             raise FieldError(
                 "integrator_substeps", f"must be at least 1, got {self.integrator_substeps}"

@@ -30,7 +30,7 @@ from kernelreach import (
     symmetric_difference_area,
     uniform_disk_sampler,
 )
-from kernelreach import geometry
+from kernelreach import geometry, kernels
 from kernelreach.kernels import _distances
 
 
@@ -346,11 +346,11 @@ def test_hausdorff_matches_brute_force_exactly():
             )
 
 
-@pytest.mark.parametrize("block", [7, 1000, geometry._HAUSDORFF_BLOCK])
+@pytest.mark.parametrize("block", [7, 1000, kernels._BLOCK_ENTRIES])
 def test_blocked_hausdorff_equals_one_matrix_form(monkeypatch, block):
     # a cloud of many blocks, a ragged last block, and blocks of one row when b
     # alone outgrows a block: the same bits as one (len(a), len(b)) matrix
-    monkeypatch.setattr(geometry, "_HAUSDORFF_BLOCK", block)
+    monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", block)
     rng = np.random.default_rng(10)
     a = rng.normal(size=(3001, 3))
     b = rng.normal(scale=1.5, size=(400, 3))
@@ -358,6 +358,24 @@ def test_blocked_hausdorff_equals_one_matrix_form(monkeypatch, block):
     assert directed_hausdorff(a, b) == d.min(axis=1).max()
     assert directed_hausdorff(b, a) == d.min(axis=0).max()
     assert hausdorff(a, b) == hausdorff(b, a) == max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def test_hausdorff_peak_memory_is_two_distance_blocks():
+    # 1,000 x 1,600 distances in blocks of 2**16 entries: the block and one
+    # coordinate's differences (0.5 MiB each) and the two minima vectors, not
+    # a 12.8 MB distance matrix
+    import tracemalloc
+
+    rng = np.random.default_rng(12)
+    a = rng.uniform(-1.0, 1.0, size=(1000, 2))
+    b = rng.uniform(-1.0, 1.0, size=(1600, 2))
+    tracemalloc.start()
+    try:
+        hausdorff(a, b, metric=KernelSpec("abel", 0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 def test_hausdorff_symmetric_exactly():

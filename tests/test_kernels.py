@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelreach import GramMatrix, KernelSpec, gram, kernel_eval, kernel_metric
+from kernelreach import GramMatrix, KernelSpec, gram, kernel_eval, kernel_metric, kernels
 from kernelreach.kernels import _distances, kernel_matrix, kernel_value_at_distance
 
 
@@ -192,19 +192,22 @@ def test_gram_matches_brute_force():
             assert g.entries[i, j] == pytest.approx(kernel_eval(spec, pts[i], pts[j]), abs=1e-15)
 
 
-def test_gram_symmetry_and_diagonal_exact():
-    # gram builds 64-row blocks and mirrors them below the diagonal; every
-    # entry must still be the one-matrix reference kernel_matrix(p, p)'s,
-    # on each side of a block edge
+def test_gram_symmetry_and_diagonal_exact(monkeypatch):
+    # gram builds blocks of _BLOCK_ENTRIES // M rows and mirrors them below
+    # the diagonal; every entry must still be the one-matrix reference
+    # kernel_matrix(p, p)'s, on each side of a block edge: one-row blocks at
+    # 7 entries, ragged blocks at 1,000, and one or two blocks by default
     rng = np.random.default_rng(11)
     blocked = [(m, n) for m in (1, 2, 63, 64, 65, 128, 129, 300) for n in (1, 2, 4)]
-    for m, n in blocked + [(60, 4), (257, 2), (33, 9)]:
-        pts = rng.normal(size=(m, n))
-        for spec in (KernelSpec("abel", 0.5), KernelSpec("gaussian", 0.5)):
-            g = gram(spec, pts)
-            assert np.array_equal(g.entries, g.entries.T)
-            assert np.all(np.diag(g.entries) == 1.0)
-            assert np.array_equal(g.entries, kernel_matrix(spec, pts, pts))
+    for budget in (7, 1000, kernels._BLOCK_ENTRIES):
+        monkeypatch.setattr(kernels, "_BLOCK_ENTRIES", budget)
+        for m, n in blocked + [(60, 4), (257, 2), (33, 9)]:
+            pts = rng.normal(size=(m, n))
+            for spec in (KernelSpec("abel", 0.5), KernelSpec("gaussian", 0.5)):
+                g = gram(spec, pts)
+                assert np.array_equal(g.entries, g.entries.T)
+                assert np.all(np.diag(g.entries) == 1.0)
+                assert np.array_equal(g.entries, kernel_matrix(spec, pts, pts))
 
 
 @pytest.mark.parametrize("m", [5, 50, 200])
@@ -216,7 +219,8 @@ def test_gram_positive_semidefinite(m):
 
 
 def test_gram_peak_memory_is_one_m_by_m_array():
-    # the result plus one 64-row block and its coordinate differences
+    # the result plus one block of 2**16 entries (64 rows) and its coordinate
+    # differences
     import tracemalloc
 
     m = 1024

@@ -1010,6 +1010,27 @@ _RANGE_CASES = {
                            lambda _: CwhSystem(input_sequence=np.zeros((5, 3)))),
     "tora-control-period": (FieldError, "control_period must be positive",
                             lambda _: ToraSystem(control_period=0.0)),
+    # non-finite parameters that would otherwise build, and simulate NaN
+    # states or fail later naming no field
+    "cwh-omega-inf": (FieldError, "omega must be finite, got inf",
+                      lambda _: CwhSystem(omega=math.inf)),
+    "cwh-mass-inf": (FieldError, "mass must be finite, got inf",
+                     lambda _: CwhSystem(mass=math.inf)),
+    "cwh-dt-inf": (FieldError, "dt must be finite, got inf", lambda _: CwhSystem(dt=math.inf)),
+    "beta-alpha-inf": (FieldError, "alpha must be finite, got inf",
+                       lambda _: ScaledBetaDisturbance(alpha=math.inf)),
+    "beta-beta-inf": (FieldError, "beta must be finite, got inf",
+                      lambda _: ScaledBetaDisturbance(beta=math.inf)),
+    "beta-scale-nan": (FieldError, "scale must be finite, got nan",
+                       lambda _: ScaledBetaDisturbance(scale=math.nan)),
+    "beta-scale-inf": (FieldError, "scale must be finite, got -inf",
+                       lambda _: ScaledBetaDisturbance(scale=-math.inf)),
+    "tora-control-period-inf": (FieldError, "control_period must be finite, got inf",
+                                lambda _: ToraSystem(control_period=math.inf)),
+    "feedback-k1-nan": (FieldError, "k1 must be finite, got nan",
+                        lambda _: SaturatedFeedback(k1=math.nan)),
+    "feedback-k2-inf": (FieldError, "k2 must be finite, got inf",
+                        lambda _: SaturatedFeedback(k2=math.inf)),
     "tora-substeps": (FieldError, "integrator_substeps must be at least 1, got 0",
                       lambda _: ToraSystem(integrator_substeps=0)),
     "box-lo-above-hi": (FieldError, "lo must be <= hi in every coordinate",
