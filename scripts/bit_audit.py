@@ -13,8 +13,10 @@ shipped config gives the digest of ``sample_terminal_states`` at the
 config's M and master seed, and two more lines with master seed 2**64 + 7,
 CWH at M=5000 and TORA with Beta disturbance at M=4100, cross the sampler's
 4096-sample block boundary: these cover the simulator's bits directly, the
-TORA integrator and the disturbance chunk at the block edge included.  The
-script then runs ``kernelreach run`` on each shipped config and
+TORA integrator and the disturbance chunk at the block edge included.  A
+``trajectory`` line gives the digest of ``simulate_trajectory`` on tora_beta
+over its whole horizon, every step kept, so a state that aliases a buffer the
+integrator reuses would show.  The script then runs ``kernelreach run`` on each shipped config and
 disk_convergence.py into a temporary directory and prints the digest of
 every file they write.
 
@@ -46,6 +48,7 @@ from kernelreach import (
     fit,
     gram,
     sample_terminal_states,
+    simulate_trajectory,
 )
 from kernelreach.cli import load_run_config
 from kernelreach.estimator import _padded_order, _query_block
@@ -63,6 +66,8 @@ QUERIES = 300
 # (config, M, master seed); None takes the config's own value
 SAMPLES = (("cwh_rendezvous", None, None), ("tora", None, None), ("tora_beta", None, None),
            ("cwh_rendezvous", 5000, 2**64 + 7), ("tora_beta", 4100, 2**64 + 7))
+# the config whose whole trajectory is digested
+TRAJECTORY = "tora_beta"
 
 
 def digest(values) -> str:
@@ -94,6 +99,16 @@ def sample_line(name, m=None, seed=None) -> str:
     seed = run.master_seed if seed is None else seed
     points = sample_terminal_states(run.system, m, seed).points
     return f"samples {name} M={m} seed={seed} {digest(points)}"
+
+
+def trajectory_line(name) -> str:
+    """The digest of every state of one trajectory of a shipped config: the initial
+    state drawn and the disturbance streamed from ``default_rng(master_seed)``."""
+    run = load_run_config(CONFIGS / f"{name}.json")
+    config, seed = run.system, run.master_seed
+    x0 = config.initial.draw(np.random.default_rng(seed))
+    states = simulate_trajectory(config, x0, seed)
+    return f"trajectory {name} N={config.horizon} seed={seed} {digest(states)}"
 
 
 def script_lines():
@@ -146,6 +161,7 @@ def main():
         print(audit_case(*case), flush=True)
     for sample in SAMPLES:
         print(sample_line(*sample), flush=True)
+    print(trajectory_line(TRAJECTORY), flush=True)
     for line in script_lines():
         print(line, flush=True)
 

@@ -527,12 +527,20 @@ class ToraSystem:
             )
 
 
+def _finite_coordinates(name: str, values) -> tuple:
+    """``values`` as a tuple of floats; a FieldError naming ``name`` if one is not finite."""
+    values = tuple(float(v) for v in values)
+    if not all(map(finite, values)):
+        raise FieldError(name, f"must be finite, got {values!r}")
+    return values
+
+
 @dataclass(frozen=True)
 class PointInitial:
     x: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
+        object.__setattr__(self, "x", _finite_coordinates("x", self.x))
 
     def draw(self, rng) -> np.ndarray:
         return np.array(self.x)
@@ -544,12 +552,16 @@ class BoxInitial:
     hi: tuple[float, ...]
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
+        lo = _finite_coordinates("lo", self.lo)
+        hi = _finite_coordinates("hi", self.hi)
         if len(hi) != len(lo):
             raise FieldError("hi", f"must hold as many numbers as lo ({len(lo)}), got {len(hi)}")
         if any(a > b for a, b in zip(lo, hi)):
             raise FieldError("lo", "must be <= hi in every coordinate")
+        # a uniform draw needs the width hi - lo as a double
+        for k, (a, b) in enumerate(zip(lo, hi)):
+            if not finite(b - a):
+                raise FieldError("hi", f"- lo overflows a double in coordinate {k}")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -699,40 +711,38 @@ def rk4_step(derivative, state, u, h: float) -> np.ndarray:
     return nxt
 
 
-def _tora_period(x: np.ndarray, u: np.ndarray, h: float, substeps: int) -> np.ndarray:
-    """``substeps`` RK4 steps of the TORA field on a state-major (4, M) batch, u held.
+def _tora_integrator(m: int, h: float, substeps: int):
+    """``period(x, u)``: ``substeps`` RK4 steps of the TORA field on a (4, m) batch, u held.
 
-    Bitwise ``rk4_step(tora_derivative, ., u, h)`` applied ``substeps`` times
-    to each column, unchecked.  With u held, x3' = x4 and x4' = u do not
-    depend on x1 or x2, so x4 after every substep is one running sum of the
-    same increment, x3's RK4 stages and increments are arrays over the
-    substeps followed by a second running sum (``add.accumulate`` adds left to
-    right, as the loop does), and the four sin x3 of every substep take one
-    ``sin``.  Only (x1, x2) stays in the loop, with the IEEE operations of
-    ``rk4_step`` on the same operands in the same order; S - x1, with
-    S = 0.1 sin x3, is bitwise rk4's (-x1) + S.
+    ``period`` is bitwise ``rk4_step(tora_derivative, ., u, h)`` applied
+    ``substeps`` times to each column, unchecked, and returns a new (4, m)
+    array.  With u held, x3' = x4 and x4' = u do not depend on x1 or x2, so
+    x4 after every substep is one running sum of the same increment, x3's
+    RK4 stages and increments are arrays over the substeps followed by a
+    second running sum (``add.accumulate`` adds left to right, as the loop
+    does), and the four sin x3 of every substep take one ``sin``.  Only
+    (x1, x2) stays in the loop, with the IEEE operations of ``rk4_step`` on
+    the same operands in the same order; S - x1, with S = 0.1 sin x3, is
+    bitwise rk4's (-x1) + S.
+
+    What does not depend on a period's data is built here, once: every
+    buffer, view and constant, so that a period allocates only its result.
     """
-    s, c = 0.5 * h, h / 6.0
-    m = x.shape[1]
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    # 0-d arrays: a ufunc converts a Python float operand on every call
+    s, c, h, two, tenth = (np.array(v) for v in (0.5 * h, h / 6.0, h, 2.0, 0.1))
     x4 = np.empty((substeps + 1, m))
-    x4[0] = x[3]
-    x4[1:] = c * (((u + 2.0 * u) + 2.0 * u) + u)
-    x4 = np.add.accumulate(x4)
-    v = x4[:-1]  # x4 at the start of each substep: k1 of x3
-    mid = v + s * u  # k2 and k3 of x3
     x3 = np.empty((substeps + 1, m))
-    x3[0] = x[2]
-    x3[1:] = c * (((v + 2.0 * mid) + 2.0 * mid) + (v + h * u))
-    x3 = np.add.accumulate(x3)
-    w = x3[:-1]
+    v, w = x4[:-1], x3[:-1]  # x4 and x3 at the start of each substep; v is k1 of x3
+    dx4, x3_in, x4_in = x4[1:], x3[0], x4[0]
+    mid = np.empty((substeps, m))  # k2 and k3 of x3
+    dx3 = np.empty((substeps, m))
+    tmp = np.empty((substeps, m))
+    u2, uh = np.empty(m), np.empty(m)
     # the x3 of each substep's four stages, then 0.1 sin of them
     forcing = np.empty((substeps, 4, m))
-    forcing[:, 0] = w
-    np.add(w, s * v, out=forcing[:, 1])
-    np.add(w, s * mid, out=forcing[:, 2])
-    np.add(w, h * mid, out=forcing[:, 3])
-    forcing = np.sin(forcing, out=forcing)
-    forcing *= 0.1
+    f0, f1, f2, f3 = forcing.swapaxes(0, 1)
+    rows = tuple(tuple(f) for f in forcing)
     # per RK4 stage: its (x1, x2), then its x2 slope S - x1, so that the
     # stage's slope (x2, S - x1) is two adjacent rows
     stage = np.empty((4, 3, m))
@@ -741,28 +751,62 @@ def _tora_period(x: np.ndarray, u: np.ndarray, h: float, substeps: int) -> np.nd
     g1, g2, g3, g4 = stage[:, 2]
     k1, k2, k3, k4 = slopes = stage[:, 1:]
     k23 = slopes[1:3]  # doubled in place once the stages are done
-    z[...] = x[:2]
     acc = np.empty((2, m))
-    # 0-d arrays: a ufunc converts a Python float operand on every call
-    s, h, c, two = (np.array(v) for v in (s, h, c, 2.0))
-    for f1, f2, f3, f4 in forcing:
-        np.subtract(f1, e1, g1)
-        np.multiply(k1, s, y2)
-        np.add(y2, z, y2)
-        np.subtract(f2, e2, g2)
-        np.multiply(k2, s, y3)
-        np.add(y3, z, y3)
-        np.subtract(f3, e3, g3)
-        np.multiply(k3, h, y4)
-        np.add(y4, z, y4)
-        np.subtract(f4, e4, g4)
-        np.multiply(k23, two, k23)
-        np.add(k1, k2, acc)
-        np.add(acc, k3, acc)
-        np.add(acc, k4, acc)
-        np.multiply(acc, c, acc)
-        np.add(z, acc, z)
-    return np.concatenate((z, x3[-1:], x4[-1:]))
+
+    def period(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        # x4: x[3], then a running sum of c * (((u + 2 u) + 2 u) + u)
+        x4_in[...] = x[3]
+        multiply(two, u, u2)
+        add(u, u2, uh)
+        add(uh, u2, uh)
+        add(uh, u, uh)
+        multiply(c, uh, uh)
+        dx4[...] = uh
+        add.accumulate(x4, out=x4)
+        # mid = v + s u; x3: x[2], then a running sum of
+        # c * (((v + 2 mid) + 2 mid) + (v + h u))
+        multiply(s, u, uh)
+        add(v, uh, mid)
+        multiply(two, mid, tmp)
+        add(v, tmp, dx3)
+        add(dx3, tmp, dx3)
+        multiply(h, u, uh)
+        add(v, uh, tmp)
+        add(dx3, tmp, dx3)
+        x3_in[...] = x[2]
+        multiply(c, dx3, x3[1:])
+        add.accumulate(x3, out=x3)
+        # the stages' x3: w, w + s v, w + s mid and w + h mid
+        f0[...] = w
+        multiply(s, v, tmp)
+        add(w, tmp, f1)
+        multiply(s, mid, tmp)
+        add(w, tmp, f2)
+        multiply(h, mid, tmp)
+        add(w, tmp, f3)
+        np.sin(forcing, out=forcing)
+        multiply(forcing, tenth, forcing)
+        z[...] = x[:2]
+        for r1, r2, r3, r4 in rows:
+            subtract(r1, e1, g1)
+            multiply(k1, s, y2)
+            add(y2, z, y2)
+            subtract(r2, e2, g2)
+            multiply(k2, s, y3)
+            add(y3, z, y3)
+            subtract(r3, e3, g3)
+            multiply(k3, h, y4)
+            add(y4, z, y4)
+            subtract(r4, e4, g4)
+            multiply(k23, two, k23)
+            add(k1, k2, acc)
+            add(acc, k3, acc)
+            add(acc, k4, acc)
+            multiply(acc, c, acc)
+            add(z, acc, z)
+        return np.concatenate((z, x3[-1:], x4[-1:]))
+
+    return period
 
 
 def _steps(config: SystemConfig, x0: np.ndarray, rngs):
@@ -772,8 +816,10 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
     Generator, drawn from in step order, ``_NOISE_STEPS`` steps per call.
     Every operation acts on each sample separately, so row i is bitwise
     equal to sample i stepped on its own: the batch never couples samples.
-    A TORA control period is integrated by ``_tora_period``, bitwise
-    ``rk4_step`` on every substep, and the state is checked once a period.
+    A TORA control period is integrated by the ``_tora_integrator`` built
+    once here for the whole simulation, whose buffers every period reuses;
+    it is bitwise ``rk4_step`` on every substep, and the state is checked
+    once a period.
     The built ``config`` is trusted: only ``x0`` and divergence are checked.
     """
     system = config.system
@@ -801,13 +847,14 @@ def _steps(config: SystemConfig, x0: np.ndarray, rngs):
             yield x
     else:  # a ToraSystem, the only other system a SystemConfig admits
         h = system.control_period / system.integrator_substeps
+        period = _tora_integrator(x0.shape[0], h, system.integrator_substeps)
         # state-major (4, M): each coordinate is one row of array ops
         x = x0.T
         for w in noise():
             # divergence is reported by the finite check, not by warnings
             with np.errstate(over="ignore", invalid="ignore"):
                 u = _tora_controls(system.controller, x)
-                x = _tora_period(x, u, h, system.integrator_substeps)
+                x = period(x, u)
             # one check a period: inf and NaN stay non-finite through adds,
             # nonzero scalings and sin, so it catches what a per-substep one does
             if not np.isfinite(x).all():

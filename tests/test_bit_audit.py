@@ -41,3 +41,11 @@ def test_sample_lines_cover_every_shipped_config_and_a_block_boundary():
 def test_audit_environment_line_names_versions_and_threads():
     line = bit_audit.environment_line()
     assert line.startswith("env numpy=") and " scipy=" in line and " blas_threads=" in line
+
+
+def test_trajectory_line_digests_every_step_of_tora_beta():
+    assert bit_audit.TRAJECTORY == "tora_beta"
+    line = bit_audit.trajectory_line("tora_beta")
+    assert line == bit_audit.trajectory_line("tora_beta")
+    assert line.startswith("trajectory tora_beta N=200 seed=2106 ")
+    assert len(line.split()[-1]) == 64

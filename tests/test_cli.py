@@ -570,7 +570,10 @@ def _tora_doc():
     ("tora", "disturbance", "mask", [True, False, 1, True],
      "field disturbance.mask[2] must be a boolean, got 1"),
     ("tora", "disturbance", "mask", [True, "no", True, True],
-     "field disturbance.mask[1] must be a boolean, got 'no'"),
+     "field disturbance.mask[1] must be a boolean, got 'no'"),    # finite bounds further apart than a double can hold
+    ("tora", "", "initial",
+     {"kind": "uniform-box", "lo": [-1e308, -0.7, -0.4, 0.5], "hi": [1e308, -0.6, -0.3, 0.6]},
+     "field initial.hi - lo overflows a double in coordinate 0"),
 ])
 def test_config_field_errors_exit_2(tmp_path, capsys, base, section, key, value, expected):
     # one bad field in an otherwise valid config fails before anything is simulated

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from kernelreach import (
     tora_derivative,
 )
 from kernelreach.schema import ConfigError, FieldError
-from kernelreach.systems import _steps, _stream_generators, _tora_period
+from kernelreach.systems import _steps, _stream_generators, _tora_integrator
 
 CWH_DEFAULTS = dict(omega=0.00113, mass=300.0, dt=20.0)
 
@@ -723,7 +724,7 @@ def _rk4_columns(x, u, h, substeps):
 def test_tora_period_is_rk4_step_per_substep_bitwise(m, substeps):
     x, u = _period_batch(m, np.random.default_rng([m, substeps]))
     h = 0.1 / substeps
-    assert _same_bits(_tora_period(x, u, h, substeps), _rk4_columns(x, u, h, substeps))
+    assert _same_bits(_tora_integrator(m, h, substeps)(x, u), _rk4_columns(x, u, h, substeps))
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 10, 11])
@@ -733,7 +734,39 @@ def test_tora_period_keeps_the_sign_of_every_zero(substeps):
     x = np.where(bits[:, :4], -0.0, 0.0).T
     u = np.where(bits[:, 4], -0.0, 0.0)
     h = 0.1 / substeps
-    assert _same_bits(_tora_period(x, u, h, substeps), _rk4_columns(x, u, h, substeps))
+    period = _tora_integrator(x.shape[1], h, substeps)
+    assert _same_bits(period(x, u), _rk4_columns(x, u, h, substeps))
+
+
+@pytest.mark.parametrize("substeps", [1, 10, 11])
+@pytest.mark.parametrize("m", [1, 3, 9, 65])
+def test_one_integrator_is_rk4_step_over_consecutive_periods(m, substeps):
+    # a built integrator reuses its buffers: no period may see the last one's
+    # values, and no result may alias a buffer the next period overwrites
+    h = 0.1 / substeps
+    period = _tora_integrator(m, h, substeps)
+    rng = np.random.default_rng([m, substeps, 3])
+    results = []
+    for _ in range(4):
+        x, u = _period_batch(m, rng)
+        results.append((period(x, u), _rk4_columns(x, u, h, substeps)))
+        assert _same_bits(*results[-1])
+    assert all(_same_bits(got, want) for got, want in results)
+
+
+def test_a_period_allocates_only_its_result():
+    m = 4096
+    x, u = _period_batch(m, np.random.default_rng(4096))
+    period = _tora_integrator(m, 0.01, 10)
+    period(x, u)
+    tracemalloc.start()
+    try:
+        result = period(x, u)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.shape == (4, m)
+    assert peak <= 2 * result.nbytes
 
 
 def test_overflow_inside_a_period_fails_at_the_reference_step():
@@ -1035,6 +1068,16 @@ _RANGE_CASES = {
                       lambda _: ToraSystem(integrator_substeps=0)),
     "box-lo-above-hi": (FieldError, "lo must be <= hi in every coordinate",
                         lambda _: BoxInitial((0.0, 1.0), (0.5, 0.5))),
+    # non-finite initial conditions, and a box wider than a double can hold,
+    # which numpy's uniform draw would refuse with a bare OverflowError
+    "point-x-nan": (FieldError, "x must be finite, got (nan, 0.0, 0.0, 0.0)",
+                    lambda _: PointInitial((math.nan, 0, 0, 0))),
+    "box-lo-inf": (FieldError, "lo must be finite, got (-inf, 0.0, 0.0, 0.0)",
+                   lambda _: BoxInitial((-math.inf, 0, 0, 0), (0, 0, 0, 0))),
+    "box-hi-nan": (FieldError, "hi must be finite, got (0.0, nan, 0.0, 0.0)",
+                   lambda _: BoxInitial((0, 0, 0, 0), (0, math.nan, 0, 0))),
+    "box-width-overflow": (FieldError, "hi - lo overflows a double in coordinate 2",
+                           lambda _: BoxInitial((0, 0, -1e308, 0), (0, 0, 1e308, 0))),
     "horizon": (FieldError, "horizon must be at least 1, got 0",
                 lambda _: _cwh_config(horizon=0)),
     "cwh-matrices-dt": (ValueError, "dt must be nonnegative",
