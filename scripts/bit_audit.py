@@ -7,10 +7,11 @@ line: tau; whether the queries in the batch's first solve block, each taken
 one at a time, give the same bits as the batch (``single=same`` or
 ``single=moved``; a block is 128 columns from the padded order 128 up and
 wider below it, so all 300 queries are checked below order 56); and the
-digests of the Gram matrix G, the Cholesky factor L, the training values and
-the classifier values at 300 query points.  Then one ``samples`` line per
-shipped config gives the digest of ``sample_terminal_states`` at the
-config's M and master seed, and two more lines with master seed 2**64 + 7,
+digests of the Gram matrix G, the Cholesky factor L, the training values, the
+classifier values at 300 query points and their membership flags, which a
+change of threshold can move while every value keeps its bits.  Then one
+``samples`` line per shipped config gives the digest of
+``sample_terminal_states`` at the config's M and master seed, and two more lines with master seed 2**64 + 7,
 CWH at M=5000 and TORA with Beta disturbance at M=4100, cross the sampler's
 4096-sample block boundary: these cover the simulator's bits directly, the
 TORA integrator and the disturbance chunk at the block edge included.  A
@@ -44,6 +45,7 @@ from kernelreach import (
     FitConfig,
     KernelSpec,
     SampleSet,
+    classify_batch,
     decision_values,
     fit,
     gram,
@@ -89,7 +91,7 @@ def audit_case(family, n, sigma, m, lam) -> str:
     return (f"{family} n={n} sigma={sigma} M={m} lambda={label} tau={model.tau!r} "
             f"single={single} G={digest(gram(kernel, support).entries)} "
             f"L={digest(model.factor)} train={digest(model.train_values)} "
-            f"query={digest(values)}")
+            f"query={digest(values)} inside={digest(classify_batch(model, queries))}")
 
 
 def sample_line(name, m=None, seed=None) -> str:

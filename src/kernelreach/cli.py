@@ -7,6 +7,7 @@ memory.
 """
 
 import argparse
+import functools
 import inspect
 import sys
 import time
@@ -222,7 +223,7 @@ def cmd_contour(args) -> int:
         raise ConfigError(
             f"{args.grid}: grid is {grid.dim}-dimensional, model expects {model.dim}"
         )
-    level = (1.0 - model.tau) if args.level is None else args.level
+    level = model.level if args.level is None else args.level
     start = time.perf_counter()
     values = grid_decision_values(model, grid)
     contour = extract_contour(values, grid, level)
@@ -266,7 +267,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_run(args) -> int:
-    """The paper's pipeline on one config: sample, fit, contour at 1 - tau, validate."""
+    """The paper's pipeline on one config: sample, fit, contour at the model's level, validate."""
     config = load_run_config(args.config)
     if config.grid is None:
         raise ConfigError(f"{args.config}: missing field grid, which run draws the boundary on")
@@ -276,7 +277,7 @@ def cmd_run(args) -> int:
     model = fit(train, config.fit)
     marks.append(time.perf_counter())
     values = grid_decision_values(model, config.grid)
-    contour = extract_contour(values, config.grid, 1.0 - model.tau)
+    contour = extract_contour(values, config.grid, model.level)
     marks.append(time.perf_counter())
     fresh = sample_terminal_states(config.system, FRESH_SIZE, FRESH_SEED).points
     rate = containment_rate(model, fresh)
@@ -296,7 +297,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused: a build takes about 1 ms.
+
+    It names no handler: ``main`` looks ``cmd_<command>`` up in this module
+    at each call, so a ``cmd_*`` rebound after the first build still runs.
+    """
     parser = argparse.ArgumentParser(
         prog="kernelreach",
         description="Estimate forward reachable sets of stochastic systems from terminal-state samples.",
@@ -307,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a support classifier to a sample CSV")
     default = FitConfig()
@@ -317,45 +323,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=default.regularization,
                    help=f"positive value or {default.regularization!r} (default)")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("query", help="evaluate the classifier at points from a CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("contour", help="extract the membership boundary on a 2-d grid")
     p.add_argument("--model", required=True)
     p.add_argument("--grid", required=True, help="JSON grid specification")
     p.add_argument("--level", type=float, default=None,
-                   help="override the default 1 - tau membership level")
+                   help="override the default membership level, min F over the sample")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("validate", help="containment rate and Hausdorff distance of fresh draws")
     p.add_argument("--model", required=True)
     p.add_argument("--samples", required=True)
-    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="convergence table over sample sizes and seeds")
     p.add_argument("--config", required=True)
     p.add_argument("--m-list", required=True, help="comma-separated sample sizes, ascending")
     p.add_argument("--seeds", required=True, help="comma-separated master seeds")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run", help="sample, fit, contour and validate a config in one process")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="directory for the three output files")
-    p.set_defaults(func=cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -3,11 +3,11 @@
 The classifier value at a query x is F(x) = phi' (G + M lambda I)^{-1} phi,
 where phi_i = K(x_i, x) over the M training points and G is their Gram
 matrix.  A point is declared inside the estimated support when F(x) is at
-least 1 - tau, with tau = 1 - min_i F(x_i) so that every training point is
-contained by construction.
+least the level min_i F(x_i), so every training point is contained by
+construction; files and reports give tau = 1 - level.
 
 A model is fixed by its support points, kernel and lambda: a SupportModel
-derives the Cholesky factor and the training values (and so tau) from those
+derives the Cholesky factor, the training values and the level from those
 three, whether it comes from ``fit``, from ``load_model`` or is built directly.
 """
 
@@ -26,9 +26,6 @@ from .schema import ConfigError, FieldError, build, finite, json_object, load_js
 RECIPROCAL_M = "reciprocal-m"
 
 MODEL_FORMAT_VERSION = 1
-
-# Slack on the inside test so training points never flip under roundoff.
-CLASSIFY_SLACK = 1e-12
 
 # Queries are solved against the Cholesky factor padded to an order that is a
 # multiple of _PAD: L, then an identity block below and right of it, with the
@@ -118,9 +115,9 @@ class SupportModel:
     The constructor derives the rest from those three, as ``fit`` and
     ``load_model`` do: ``factor`` is the (M, M) lower Cholesky factor L of
     G + M lambda I, a read-only M x M view into the padded buffer the
-    queries are solved against (see _query_block), and ``train_values``
-    holds the M classifier values at the support points, read-only too.
-    A model compares by identity.
+    queries are solved against (see _query_block), ``train_values`` the M
+    classifier values at the support points, read-only too, and ``level``
+    their minimum, the membership threshold.  A model compares by identity.
     """
 
     support: np.ndarray
@@ -128,6 +125,7 @@ class SupportModel:
     lam: float
     factor: np.ndarray = field(init=False)
     train_values: np.ndarray = field(init=False)
+    level: float = field(init=False)
 
     def __post_init__(self):
         # The query loop trusts the support, so it is checked here.
@@ -144,6 +142,7 @@ class SupportModel:
         object.__setattr__(self, "_padded", padded)
         object.__setattr__(self, "factor", padded[:m, :m])
         object.__setattr__(self, "train_values", values)
+        object.__setattr__(self, "level", float(values.min()))
 
     @property
     def size(self) -> int:
@@ -155,8 +154,8 @@ class SupportModel:
 
     @property
     def tau(self) -> float:
-        """The margin 1 - min over training points of the classifier value."""
-        return 1.0 - float(self.train_values.min())
+        """The margin 1 - level that model files store and commands print."""
+        return 1.0 - self.level
 
 
 def _padded_order(m: int) -> int:
@@ -268,7 +267,7 @@ def fit(samples: SampleSet, config: FitConfig) -> SupportModel:
     """Fit the support classifier to a terminal-state sample.
 
     Factorizes G + M lambda I and evaluates the classifier at every training
-    point; the model's tau is 1 - min of those values.
+    point; the model's level is the least of those values.
     """
     return SupportModel(samples.points, config.kernel, config.resolve_lambda(samples.size))
 
@@ -307,15 +306,15 @@ def decision_value(model: SupportModel, x) -> float:
 
 
 def _inside(model: SupportModel, values, level=None):
-    """Membership of classifier values: value >= 1 - tau (or ``level``), less slack."""
-    threshold = (1.0 - model.tau) if level is None else float(level)
+    """Membership of classifier values: value >= the model's level (or ``level``)."""
+    threshold = model.level if level is None else float(level)
     if not finite(threshold):
         raise ValueError(f"membership level must be finite, got {level!r}")
-    return values >= threshold - CLASSIFY_SLACK
+    return values >= threshold
 
 
 def classify(model: SupportModel, x, level=None) -> bool:
-    """True when x lies in the estimated support (classifier value >= 1 - tau).
+    """True when x lies in the estimated support (classifier value >= model.level).
 
     ``level`` overrides the membership threshold for level-set exploration;
     no convergence guarantee is attached to levels other than the default.

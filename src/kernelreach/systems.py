@@ -218,8 +218,9 @@ class GaussianDisturbance:
         var = np.array(self.covariance_diagonal, dtype=float)
         if mean.ndim != 1 or mean.shape != var.shape:
             raise FieldError("covariance_diagonal", "and mean must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
-            raise ValueError("Gaussian parameters must be finite")
+        for name, values in (("mean", mean), ("covariance_diagonal", var)):
+            if not np.all(np.isfinite(values)):
+                raise FieldError(name, f"must be finite, got {values.tolist()}")
         if np.any(var < 0):
             raise FieldError("covariance_diagonal", f"must be nonnegative, got {var.tolist()}")
         object.__setattr__(self, "mean", tuple(mean.tolist()))
@@ -336,6 +337,8 @@ class MlpController:
         if self.saturation is not None:
             lo = _read_only_copy(self.saturation[0])
             hi = _read_only_copy(self.saturation[1])
+            if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+                raise FieldError("saturation", f"must be finite, got {(lo.tolist(), hi.tolist())}")
             if lo.shape != hi.shape or lo.size != self.output_dim or np.any(lo > hi):
                 raise FieldError("saturation", "must give lo <= hi per output coordinate")
             object.__setattr__(self, "saturation", (lo, hi))

@@ -66,7 +66,7 @@ def _grid():
 
 def _contour():
     model = _model()
-    return extract_contour(grid_decision_values(model, _grid()), _grid(), 1.0 - model.tau)
+    return extract_contour(grid_decision_values(model, _grid()), _grid(), model.level)
 
 
 def _write_samples(path, monkeypatch):

@@ -21,8 +21,10 @@ def test_audit_cases_repeat_in_one_process():
     first = [bit_audit.audit_case(*case) for case in _CASES]
     assert [bit_audit.audit_case(*case) for case in _CASES] == first
     for line in first:
-        digests = [field.split("=")[1] for field in line.split()[-4:]]
-        assert len(set(digests)) == 4 and all(len(d) == 64 for d in digests)
+        fields = line.split()[-5:]
+        assert [field.split("=")[0] for field in fields] == ["G", "L", "train", "query", "inside"]
+        digests = [field.split("=")[1] for field in fields]
+        assert len(set(digests)) == 5 and all(len(d) == 64 for d in digests)
     assert set(_CASES) <= set(bit_audit.CASES)
 
 

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -16,13 +18,17 @@ from kernelreach import (
     GridSpec,
     ModelFormatError,
     PointInitial,
+    SampleSet,
     SaturatedFeedback,
     ScaledBetaDisturbance,
     SystemConfig,
     ToraSystem,
+    classify_batch,
     load_model,
     load_sample_csv,
+    save_sample_csv,
 )
+from kernelreach import cli
 from kernelreach.cli import RunConfig, grid_from_dict, load_run_config, main
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -201,7 +207,7 @@ def test_contour_ten_thousand_nodes(tmp_path, capsys):
     first_row = [float(tok) for tok in lines[1].split(",")]
     assert len(first_row) == 4
     sidecar = json.loads(out.with_suffix(".json").read_text())
-    assert sidecar["level"] == pytest.approx(1.0 - load_model(model_path).tau)
+    assert sidecar["level"] == load_model(model_path).level
     assert sidecar["grid"]["resolution_i"] == 100
     assert "tau" in sidecar
 
@@ -222,6 +228,29 @@ def test_contour_level_override(tmp_path):
                  "--level", "0.1", "--out", str(out)]) == 0
     level = json.loads(out.with_suffix(".json").read_text())["level"]
     assert level == 0.1
+
+
+def test_contour_sidecar_level_is_the_model_level_where_one_minus_tau_is_not(tmp_path):
+    # the bit audit's abel n=2 M=100 case at lambda = 0.013: 1 - tau rounds above the level
+    support = np.random.default_rng([100, 2]).uniform(-1.0, 1.0, size=(100, 2))
+    samples = tmp_path / "samples.csv"
+    save_sample_csv(SampleSet(support), samples)
+    model_path = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--kernel", "abel", "--sigma", "0.1",
+                 "--lambda", "0.013", "--out", str(model_path)]) == 0
+    model = load_model(model_path)
+    assert 1.0 - (1.0 - model.level) != model.level
+    assert classify_batch(model, support).all()
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({
+        "dim_i": 0, "dim_j": 1, "fixed": [0.0, 0.0],
+        "range_i": [-1, 1], "range_j": [-1, 1],
+        "resolution_i": 20, "resolution_j": 20,
+    }))
+    out = tmp_path / "contour.csv"
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["level"] == model.level
 
 
 @pytest.mark.parametrize("level", ["nan", "inf", "-inf"])
@@ -953,3 +982,54 @@ def test_run_out_below_a_regular_file_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "run.json"]
     assert blocker.read_text() == "a file\n"
+
+
+def test_main_builds_its_parser_once_and_reuses_it_after_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    config = tmp_path / "run.json"
+    _write_cwh_config(config)
+    samples = tmp_path / "samples.csv"
+    assert main(["simulate", "--config", str(config), "--out", str(samples)]) == 0
+    capsys.readouterr()
+    model, query = tmp_path / "model.json", tmp_path / "query.csv"
+    calls = [
+        ["query", "--model", str(model), "--points", str(samples)],  # no --out: usage error
+        ["fit", "--samples", str(samples), "--out", str(model)],
+        ["validate", "--model", str(model), "--samples", str(samples)],
+        ["query", "--model", str(model), "--points", str(samples), "--out", str(query)],
+    ]
+
+    def session(fresh):
+        """Exit codes, printed text less wall times, and the files written."""
+        printed = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            printed.append((code, re.sub(r"elapsed=\S+", "", captured.out), captured.err))
+        return printed, model.read_bytes(), query.read_bytes()
+
+    built = []
+    original_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    cli.build_parser()
+    one_build = len(built)
+    assert one_build > 1  # the parser and its subparsers
+
+    built.clear()
+    cli.build_parser.cache_clear()
+    reused = session(fresh=False)
+    assert len(built) == one_build
+    assert [code for code, _, _ in reused[0]] == [2, 0, 0, 0]
+    assert "the following arguments are required: --out" in reused[0][0][2]
+    assert reused == session(fresh=True)

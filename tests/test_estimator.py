@@ -335,6 +335,19 @@ def test_training_points_classify_inside():
         assert classify_batch(model, samples.points).all()
 
 
+def test_level_is_the_least_training_value_and_contains_every_training_point():
+    # The bit audit's abel n=2 M=100 case at lambda = 0.013, so M lambda > 1: its
+    # level lies below 0.5, where 1 - (1 - level) rounds above the level, so a
+    # threshold of 1 - tau would leave the training point that sets it outside.
+    support = np.random.default_rng([100, 2]).uniform(-1.0, 1.0, size=(100, 2))
+    model = fit(SampleSet(support), FitConfig(KernelSpec("abel", 0.1), 0.013))
+    assert 1.0 - (1.0 - model.level) != model.level  # the case covers the edge
+    assert model.level == model.train_values.min()
+    assert model.tau == 1.0 - model.level
+    assert classify_batch(model, support).all()
+    assert all(classify(model, x) for x in support)
+
+
 def test_single_point_membership_is_razor_thin():
     # with one sample the estimated set collapses to (nearly) that point
     samples = SampleSet(np.array([[0.0, 0.0]]))
