@@ -7,7 +7,6 @@ memory.
 """
 
 import argparse
-import functools
 import inspect
 import sys
 import time
@@ -297,13 +296,7 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and reused: a build takes about 1 ms.
-
-    It names no handler: ``main`` looks ``cmd_<command>`` up in this module
-    at each call, so a ``cmd_*`` rebound after the first build still runs.
-    """
     parser = argparse.ArgumentParser(
         prog="kernelreach",
         description="Estimate forward reachable sets of stochastic systems from terminal-state samples.",
@@ -314,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None, help="override the config master seed")
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("fit", help="fit a support classifier to a sample CSV")
     default = FitConfig()
@@ -323,11 +317,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default=default.regularization,
                    help=f"positive value or {default.regularization!r} (default)")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("query", help="evaluate the classifier at points from a CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--points", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_query)
 
     p = sub.add_parser("contour", help="extract the membership boundary on a 2-d grid")
     p.add_argument("--model", required=True)
@@ -335,27 +331,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=float, default=None,
                    help="override the default membership level, min F over the sample")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_contour)
 
     p = sub.add_parser("validate", help="containment rate and Hausdorff distance of fresh draws")
     p.add_argument("--model", required=True)
     p.add_argument("--samples", required=True)
+    p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("sweep", help="convergence table over sample sizes and seeds")
     p.add_argument("--config", required=True)
     p.add_argument("--m-list", required=True, help="comma-separated sample sizes, ascending")
     p.add_argument("--seeds", required=True, help="comma-separated master seeds")
     p.add_argument("--out", required=True)
+    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("run", help="sample, fit, contour and validate a config in one process")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="directory for the three output files")
+    p.set_defaults(func=cmd_run)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return globals()[f"cmd_{args.command}"](args)
+        return args.func(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,7 +1,5 @@
-import argparse
 import json
 import os
-import re
 import resource
 import subprocess
 import sys
@@ -28,7 +26,6 @@ from kernelreach import (
     load_sample_csv,
     save_sample_csv,
 )
-from kernelreach import cli
 from kernelreach.cli import RunConfig, grid_from_dict, load_run_config, main
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -982,54 +979,3 @@ def test_run_out_below_a_regular_file_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.out == ""
     assert sorted(path.name for path in tmp_path.iterdir()) == ["blocker", "run.json"]
     assert blocker.read_text() == "a file\n"
-
-
-def test_main_builds_its_parser_once_and_reuses_it_after_a_usage_error(
-        tmp_path, capsys, monkeypatch):
-    config = tmp_path / "run.json"
-    _write_cwh_config(config)
-    samples = tmp_path / "samples.csv"
-    assert main(["simulate", "--config", str(config), "--out", str(samples)]) == 0
-    capsys.readouterr()
-    model, query = tmp_path / "model.json", tmp_path / "query.csv"
-    calls = [
-        ["query", "--model", str(model), "--points", str(samples)],  # no --out: usage error
-        ["fit", "--samples", str(samples), "--out", str(model)],
-        ["validate", "--model", str(model), "--samples", str(samples)],
-        ["query", "--model", str(model), "--points", str(samples), "--out", str(query)],
-    ]
-
-    def session(fresh):
-        """Exit codes, printed text less wall times, and the files written."""
-        printed = []
-        for argv in calls:
-            if fresh:
-                cli.build_parser.cache_clear()
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-            captured = capsys.readouterr()
-            printed.append((code, re.sub(r"elapsed=\S+", "", captured.out), captured.err))
-        return printed, model.read_bytes(), query.read_bytes()
-
-    built = []
-    original_init = argparse.ArgumentParser.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        original_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
-    cli.build_parser()
-    one_build = len(built)
-    assert one_build > 1  # the parser and its subparsers
-
-    built.clear()
-    cli.build_parser.cache_clear()
-    reused = session(fresh=False)
-    assert len(built) == one_build
-    assert [code for code, _, _ in reused[0]] == [2, 0, 0, 0]
-    assert "the following arguments are required: --out" in reused[0][0][2]
-    assert reused == session(fresh=True)

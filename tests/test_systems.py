@@ -1031,10 +1031,9 @@ _RANGE_CASES = {
                              lambda _: MlpController((_LINEAR,), ([1.0, 0.0], [0.0, 0.0]))),
     "controller-box-size": (FieldError, "saturation must give lo <= hi",
                             lambda _: MlpController((_LINEAR,), ([0.0], [1.0]))),
-    # a NaN box passes lo <= hi; the simulation then failed naming no field
-    "controller-box-nan": (FieldError, "saturation must be finite, got ([nan], [nan])",
-                           lambda _: MlpController((MlpLayer(np.ones((1, 4)), np.zeros(1),
-                                                             "linear"),), ([np.nan], [np.nan]))),
+    # a NaN box passes lo <= hi, so finiteness is its own check
+    "controller-box-nan": (FieldError, "saturation must be finite, got ([nan, 0.0], [nan, 0.0])",
+                           lambda _: MlpController((_LINEAR,), ([math.nan, 0.0], [math.nan, 0.0]))),
     "gaussian-mean-nan": (FieldError, "mean must be finite, got [nan, 0.0, 0.0, 0.0]",
                           lambda _: GaussianDisturbance((math.nan, 0, 0, 0), (0, 0, 0, 0))),
     "gaussian-covariance-inf": (FieldError, "covariance_diagonal must be finite, got [0.0, inf]",
