@@ -18,8 +18,11 @@ TORA integrator and the disturbance chunk at the block edge included.  A
 ``trajectory`` line gives the digest of ``simulate_trajectory`` on tora_beta
 over its whole horizon, every step kept, so a state that aliases a buffer the
 integrator reuses would show.  The script then runs ``kernelreach run`` on each shipped config and
-disk_convergence.py into a temporary directory and prints the digest of
-every file they write.
+disk_convergence.py into a temporary directory, then ``kernelreach query`` and
+``kernelreach contour`` on the model ``run`` fitted to one shipped config, and
+prints the digest of every file they write.  A last line gives the digest of
+a ``save_mlp_controller`` file of a fixed small network, so every data-file
+writer is covered.
 
 The first line names what the bits depend on besides the code: the numpy and
 scipy versions, the build of scipy's OpenBLAS and its thread count.  So
@@ -32,6 +35,7 @@ Usage: python3 scripts/bit_audit.py
 import ctypes
 import hashlib
 import importlib.util
+import json
 import subprocess
 import sys
 import tempfile
@@ -44,12 +48,15 @@ from kernelreach import (
     RECIPROCAL_M,
     FitConfig,
     KernelSpec,
+    MlpController,
+    MlpLayer,
     SampleSet,
     classify_batch,
     decision_values,
     fit,
     gram,
     sample_terminal_states,
+    save_mlp_controller,
     simulate_trajectory,
 )
 from kernelreach.cli import load_run_config
@@ -70,6 +77,8 @@ SAMPLES = (("cwh_rendezvous", None, None), ("tora", None, None), ("tora_beta", N
            ("cwh_rendezvous", 5000, 2**64 + 7), ("tora_beta", 4100, 2**64 + 7))
 # the config whose whole trajectory is digested
 TRAJECTORY = "tora_beta"
+# the config whose fitted model the query and contour commands are run on
+COMMANDS = "cwh_rendezvous"
 
 
 def digest(values) -> str:
@@ -113,19 +122,49 @@ def trajectory_line(name) -> str:
     return f"trajectory {name} N={config.horizon} seed={seed} {digest(states)}"
 
 
+def _kernelreach(*args):
+    subprocess.run([sys.executable, "-m", "kernelreach", *map(str, args)],
+                   check=True, capture_output=True)
+
+
 def script_lines():
     """Digests of every file ``kernelreach run`` writes on the shipped configs, then of
-    every file disk_convergence.py writes."""
+    every file disk_convergence.py writes, then of every file the query and contour
+    commands write on the model and training sample ``run`` wrote for ``COMMANDS``."""
     with tempfile.TemporaryDirectory() as tmp:
-        outdirs = {"run": Path(tmp) / "run", "disk_convergence.py": Path(tmp) / "disk"}
+        outdirs = {"run": Path(tmp) / "run", "disk_convergence.py": Path(tmp) / "disk",
+                   "commands": Path(tmp) / "commands"}
         for config in sorted(CONFIGS.glob("*.json")):
-            subprocess.run([sys.executable, "-m", "kernelreach", "run", "--config", str(config),
-                            "--out", str(outdirs["run"])], check=True, capture_output=True)
+            _kernelreach("run", "--config", config, "--out", outdirs["run"])
         subprocess.run([sys.executable, str(SCRIPTS / "disk_convergence.py"),
                         str(outdirs["disk_convergence.py"])], check=True, capture_output=True)
+        model = outdirs["run"] / f"{COMMANDS}_model.json"
+        train = outdirs["run"] / f"{COMMANDS}_terminal_states.csv"
+        grid = Path(tmp) / "grid.json"
+        grid.write_text(json.dumps(json.loads((CONFIGS / f"{COMMANDS}.json").read_text())["grid"]))
+        outdirs["commands"].mkdir()
+        _kernelreach("query", "--model", model, "--points", train,
+                     "--out", outdirs["commands"] / f"{COMMANDS}_query.csv")
+        _kernelreach("contour", "--model", model, "--grid", grid,
+                     "--out", outdirs["commands"] / f"{COMMANDS}_contour.csv")
         for label, outdir in outdirs.items():
             for path in sorted(outdir.iterdir()):
                 yield f"{label} {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}"
+
+
+def mlp_controller_line() -> str:
+    """The digest of the file ``save_mlp_controller`` writes for a seeded 4-8-1 network
+    with an output box."""
+    rng = np.random.default_rng(2106)
+    net = MlpController(
+        (MlpLayer(rng.normal(size=(8, 4)), rng.normal(size=8), "tanh"),
+         MlpLayer(rng.normal(size=(1, 8)), rng.normal(size=1), "linear")),
+        saturation=([-1.0 / 3.0], [0.1]),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "controller.json"
+        save_mlp_controller(net, path)
+        return f"mlp_controller {hashlib.sha256(path.read_bytes()).hexdigest()}"
 
 
 def environment_line() -> str:
@@ -166,6 +205,7 @@ def main():
     print(trajectory_line(TRAJECTORY), flush=True)
     for line in script_lines():
         print(line, flush=True)
+    print(mlp_controller_line(), flush=True)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv
 from .estimator import (
     RECIPROCAL_M,
     FitConfig,
@@ -198,10 +198,7 @@ def cmd_query(args) -> int:
     values = decision_values(model, points.points)
     inside = classify_batch(model, points.points)
     elapsed = time.perf_counter() - start
-    with atomic_write(args.out, newline="") as fh:
-        fh.write("value,inside\n")
-        for value, flag in zip(values, inside):
-            fh.write(f"{float(value)!r},{int(flag)}\n")
+    write_csv(args.out, ("value", "inside"), zip(values, inside))
     print(
         f"query: {points.size} points, {int(inside.sum())} inside, "
         f"elapsed={elapsed:.3f}s -> {args.out}"
@@ -227,8 +224,9 @@ def cmd_contour(args) -> int:
     values = grid_decision_values(model, grid)
     contour = extract_contour(values, grid, level)
     elapsed = time.perf_counter() - start
-    write_contour_csv(contour, args.out)
+    # the sidecar first: if it cannot be written, the previous CSV is kept
     write_contour_sidecar(contour, grid, model.tau, sidecar)
+    write_contour_csv(contour, args.out)
     print(
         f"contour: {values.size} nodes, {contour.segments.shape[0]} segments at "
         f"level={level:.12g}, elapsed={elapsed:.3f}s -> {args.out} (+ {sidecar})"

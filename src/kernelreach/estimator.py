@@ -12,13 +12,12 @@ three, whether it comes from ``fit``, from ``load_model`` or is built directly.
 """
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack, solve_triangular
 
-from .atomic import atomic_write
+from .atomic import write_json
 from .kernels import (KernelSpec, _as_points, _block_rows, _gram_into, _read_only_copy,
                       kernel_matrix)
 from .schema import ConfigError, FieldError, build, finite, json_object, load_json, positive_number
@@ -335,9 +334,7 @@ def _support_checksum(support: np.ndarray) -> str:
 def save_model(model: SupportModel, path) -> None:
     """Write the model as a versioned JSON document.
 
-    Support coordinates are stored as shortest round-trip decimals, so the
-    loaded array matches the saved one bit-for-bit; the factorization is not
-    serialized and is recomputed on load.
+    The factorization is not serialized; it is recomputed on load.
     """
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
@@ -350,9 +347,7 @@ def save_model(model: SupportModel, path) -> None:
         "support": [float(v) for v in model.support.ravel()],
         "checksum": _support_checksum(model.support),
     }
-    with atomic_write(path) as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> SupportModel:

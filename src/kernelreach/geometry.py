@@ -1,11 +1,10 @@
 """Validation geometry: grid evaluation, contours, Hausdorff distances, sweeps."""
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import write_csv, write_json
 from .estimator import (
     RECIPROCAL_M,
     FitConfig,
@@ -361,23 +360,14 @@ def convergence_sweep(
 
 def write_contour_csv(contour: ContourSet, path) -> None:
     """Segments as CSV rows x1a,x2a,x1b,x2b."""
-    with atomic_write(path, newline="") as fh:
-        fh.write("x1a,x2a,x1b,x2b\n")
-        for segment in contour.segments:
-            fh.write(",".join(repr(float(v)) for v in segment.ravel()) + "\n")
+    write_csv(path, ("x1a", "x2a", "x1b", "x2b"), (seg.ravel() for seg in contour.segments))
 
 
 def write_contour_sidecar(contour: ContourSet, grid: GridSpec, tau: float, path) -> None:
     doc = {"level": float(contour.level), "tau": float(tau), "grid": asdict(grid)}
-    with atomic_write(path) as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc, indent=2)
 
 
 def write_sweep_csv(rows, path) -> None:
-    with atomic_write(path, newline="") as fh:
-        fh.write("m,seed,tau,sym_diff_area,hausdorff_to_reference\n")
-        for row in rows:
-            area = "" if row.sym_diff_area is None else repr(float(row.sym_diff_area))
-            fh.write(f"{row.m},{row.seed},{float(row.tau)!r},{area},"
-                     f"{float(row.hausdorff_to_reference)!r}\n")
+    """One CSV row per ``SweepRow``, its fields as the columns."""
+    write_csv(path, [f.name for f in fields(SweepRow)], (astuple(row) for row in rows))

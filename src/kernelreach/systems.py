@@ -24,14 +24,14 @@ stepped one at a time.
 """
 
 import csv
-import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import PCG64, Generator
 from numpy.random.bit_generator import ISeedSequence
 
-from .atomic import atomic_write
+from .atomic import write_csv, write_json
 from .estimator import SampleSet
 from .kernels import _read_only_copy
 from .schema import FieldError, build, finite, load_json, typed
@@ -467,9 +467,7 @@ def load_mlp_controller(path) -> MlpController:
 
 
 def save_mlp_controller(controller: MlpController, path) -> None:
-    with atomic_write(path) as fh:
-        json.dump(mlp_controller_to_dict(controller), fh)
-        fh.write("\n")
+    write_json(path, mlp_controller_to_dict(controller))
 
 
 # ---------------------------------------------------------------------------
@@ -920,15 +918,15 @@ def sample_terminal_states(config: SystemConfig, count: int, master_seed: int) -
 
 
 def save_sample_csv(samples: SampleSet, path) -> None:
-    """Write terminal states as CSV with header x1..xn and round-trip decimals."""
-    with atomic_write(path, newline="") as fh:
-        fh.write(",".join(f"x{j + 1}" for j in range(samples.dim)) + "\n")
-        for row in samples.points:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    """Write terminal states as CSV with header x1..xn."""
+    write_csv(path, [f"x{j + 1}" for j in range(samples.dim)], samples.points)
 
 
 def load_sample_csv(path) -> SampleSet:
-    """Read a terminal-state CSV; malformed rows are reported by line number."""
+    """Read a terminal-state CSV; a malformed row or cell is reported by line and column.
+
+    A cell is a finite decimal number; ``float``'s digit separators are not read.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         rows = list(reader)
@@ -944,12 +942,21 @@ def load_sample_csv(path) -> SampleSet:
             raise ValueError(
                 f"sample file {path} line {line}: expected {dim} values, got {len(row)}"
             )
-        try:
-            data[line - 2] = [float(tok) for tok in row]
-        except ValueError as exc:
-            raise ValueError(f"sample file {path} line {line}: {exc}") from exc
+        values = []
+        for column, tok in enumerate(row, start=1):
+            try:
+                value = None if "_" in tok else float(tok)
+            except ValueError:
+                value = None
+            if value is None:
+                raise ValueError(
+                    f"sample file {path} line {line} column {column}: {tok!r} is not a number"
+                )
+            if not math.isfinite(value):
+                raise ValueError(f"sample file {path} contains non-finite values: "
+                                 f"line {line} column {column} is {tok!r}")
+            values.append(value)
+        data[line - 2] = values
     if data.shape[0] < 1:
         raise ValueError(f"sample file {path} has no data rows")
-    if not np.all(np.isfinite(data)):
-        raise ValueError(f"sample file {path} contains non-finite values")
     return SampleSet(data, provenance=f"csv:{path}")

@@ -1,5 +1,6 @@
 """Every data-file writer replaces its target atomically: a writer that fails
-part-way leaves the previous file as it was and no temporary file behind."""
+part-way leaves the previous file as it was and no temporary file behind.
+Every CSV cell follows one number rule."""
 
 import json
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from kernelreach import (
     write_contour_csv,
     write_sweep_csv,
 )
-from kernelreach import cli, estimator, geometry
+from kernelreach import cli, geometry
 from kernelreach.atomic import atomic_write
 from kernelreach.geometry import write_contour_sidecar
 
@@ -74,7 +75,7 @@ def _write_samples(path, monkeypatch):
 
 
 def _write_model(path, monkeypatch):
-    monkeypatch.setattr(estimator.json, "dump", _partial_json_dump)
+    monkeypatch.setattr(json, "dump", _partial_json_dump)
     save_model(_model(), path)
 
 
@@ -84,7 +85,7 @@ def _write_contour_csv(path, monkeypatch):
 
 def _write_sidecar(path, monkeypatch):
     contour = _contour()
-    monkeypatch.setattr(geometry.json, "dump", _partial_json_dump)
+    monkeypatch.setattr(json, "dump", _partial_json_dump)
     write_contour_sidecar(contour, _grid(), 0.5, path)
 
 
@@ -154,3 +155,25 @@ def test_atomic_write_into_missing_directory_is_os_error(tmp_path):
         with atomic_write(tmp_path / "missing" / "file.txt") as fh:
             fh.write("x")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_cell_rule_bytes_of_sweep_and_query_tables(tmp_path, monkeypatch):
+    # None is an empty cell, a bool or an integer (numpy's too) is the integer,
+    # and any other number is the shortest decimal that reads back to the same double
+    rows = [geometry.SweepRow(50, 0, 0.25, None, 0.125),
+            geometry.SweepRow(np.int64(800), np.int64(3), np.float64(0.1), np.float64(2.5), 1 / 3)]
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rows, path)
+    assert path.read_bytes() == (b"m,seed,tau,sym_diff_area,hausdorff_to_reference\n"
+                                 b"50,0,0.25,,0.125\n"
+                                 b"800,3,0.1,2.5,0.3333333333333333\n")
+
+    model_path, points_path = tmp_path / "model.json", tmp_path / "points.csv"
+    model = _model()
+    save_model(model, model_path)
+    save_sample_csv(SampleSet(model.support[:3]), points_path)
+    monkeypatch.setattr(cli, "decision_values", lambda m, p: np.array([0.5, 1 / 3, -0.0]))
+    monkeypatch.setattr(cli, "classify_batch", lambda m, p: np.array([True, False, True]))
+    path = tmp_path / "query.csv"
+    cli.cmd_query(SimpleNamespace(model=model_path, points=points_path, out=path))
+    assert path.read_bytes() == b"value,inside\n0.5,1\n0.3333333333333333,0\n-0.0,1\n"

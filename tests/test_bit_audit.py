@@ -51,3 +51,10 @@ def test_trajectory_line_digests_every_step_of_tora_beta():
     assert line == bit_audit.trajectory_line("tora_beta")
     assert line.startswith("trajectory tora_beta N=200 seed=2106 ")
     assert len(line.split()[-1]) == 64
+
+
+def test_mlp_controller_line_digests_a_fixed_network():
+    line = bit_audit.mlp_controller_line()
+    assert line == bit_audit.mlp_controller_line()
+    assert line.startswith("mlp_controller ") and len(line.split()[-1]) == 64
+    assert (bit_audit.CONFIGS / f"{bit_audit.COMMANDS}.json").is_file()

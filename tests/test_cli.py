@@ -883,6 +883,39 @@ def test_contour_out_named_like_its_sidecar_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_contour_sidecar_that_cannot_be_written_keeps_the_previous_csv(tmp_path, capsys):
+    # the sidecar is written first, so a failed sidecar replaces nothing
+    model_path = _fit_one_point(tmp_path)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({**_GRID, "fixed": [0.0, 0.0]}))
+    out = tmp_path / "b.csv"
+    out.write_bytes(b"previous contents\n")
+    out.with_suffix(".json").mkdir()
+    capsys.readouterr()
+    assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b"previous contents\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "b.json", "grid.json",
+                                                          "model.json", "one.csv"]
+
+
+@pytest.mark.parametrize("cell, message", [
+    ("1_0", "line 3 column 2: '1_0' is not a number"),
+    ("nan", "non-finite values: line 3 column 2 is 'nan'"),
+    ("inf", "non-finite values: line 3 column 2 is 'inf'"),
+], ids=["digit-separator", "nan", "inf"])
+def test_fit_samples_with_a_cell_no_writer_writes_exits_2(tmp_path, capsys, cell, message):
+    samples = tmp_path / "s.csv"
+    samples.write_text(f"x1,x2\n0.0,0.0\n1.0,{cell}\n")
+    out = tmp_path / "model.json"
+    assert main(["fit", "--samples", str(samples), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: sample file {samples} " in err
+    assert message in err
+    assert not out.exists()
+
+
 def test_validate_points_of_another_dimension_exit_2(tmp_path, capsys):
     model_path = _fit_one_point(tmp_path)
     points = tmp_path / "p3.csv"

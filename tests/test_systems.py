@@ -965,13 +965,20 @@ def test_samplers_keep_their_formulas_and_checks():
 
 def test_sample_csv_round_trip(tmp_path):
     rng = np.random.default_rng(6)
-    samples = SampleSet(rng.normal(size=(17, 4)))
+    # signed zero, the smallest subnormal and normal, the largest double, and
+    # two decimals no double holds exactly
+    edges = [[-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308],
+             [0.1, 1 / 3, -1 / 3, -0.1]]
+    samples = SampleSet(np.vstack([rng.normal(size=(17, 4)), edges]))
     path = tmp_path / "sample.csv"
     save_sample_csv(samples, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "x1,x2,x3,x4"
+    lines = path.read_text().splitlines()
+    assert lines[0] == "x1,x2,x3,x4"
+    assert lines[1:] == [",".join(repr(v) for v in row) for row in samples.points.tolist()]
+    assert lines[-2:] == ["-0.0,5e-324,2.2250738585072014e-308,1.7976931348623157e+308",
+                          "0.1,0.3333333333333333,-0.3333333333333333,-0.1"]
     loaded = load_sample_csv(path)
-    assert np.array_equal(loaded.points, samples.points)
+    assert loaded.points.tobytes() == samples.points.tobytes()
 
 
 def test_sample_csv_reports_bad_row(tmp_path):
@@ -982,6 +989,14 @@ def test_sample_csv_reports_bad_row(tmp_path):
     path.write_text("x1,x2\n1.0,abc\n")
     with pytest.raises(ValueError, match="line 2"):
         load_sample_csv(path)
+    # float() reads digit separators, nan and inf; no writer writes them
+    path.write_text("x1,x2\n1.0,2.0\n3.0,1_0\n")
+    with pytest.raises(ValueError, match="line 3 column 2: '1_0' is not a number"):
+        load_sample_csv(path)
+    for token in ("nan", "-inf", "Infinity"):
+        path.write_text(f"x1,x2\n1.0,2.0\n3.0,4.0\n{token},5.0\n")
+        with pytest.raises(ValueError, match=f"non-finite values: line 4 column 1 is '{token}'"):
+            load_sample_csv(path)
 
 
 def test_sample_csv_rejects_empty(tmp_path):
