@@ -39,6 +39,8 @@ from .geometry import (
 from .kernels import _FAMILIES, KernelSpec
 from .schema import ConfigError, FieldError, build, json_object, load_json, split_fields, typed
 from .systems import (
+    REFERENCE_SIZE,
+    REFERENCE_STREAM,
     STATE_DIM,
     BoxInitial,
     CwhSystem,
@@ -49,6 +51,7 @@ from .systems import (
     ScaledBetaDisturbance,
     SystemConfig,
     ToraSystem,
+    child_seed,
     load_mlp_controller,
     load_sample_csv,
     sample_terminal_states,
@@ -59,10 +62,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-# The fresh draws `run` checks a fitted model against.
-FRESH_SIZE = 1000
-FRESH_SEED = 90210
 
 
 @dataclass
@@ -276,7 +275,8 @@ def cmd_run(args) -> int:
     values = grid_decision_values(model, config.grid)
     contour = extract_contour(values, config.grid, model.level)
     marks.append(time.perf_counter())
-    fresh = sample_terminal_states(config.system, FRESH_SIZE, FRESH_SEED).points
+    reference_seed = child_seed(config.master_seed, REFERENCE_STREAM)
+    fresh = sample_terminal_states(config.system, REFERENCE_SIZE, reference_seed).points
     rate = containment_rate(model, fresh)
     distance = hausdorff(fresh, model.support, metric=model.kernel)
     marks.append(time.perf_counter())

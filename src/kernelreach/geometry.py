@@ -17,12 +17,8 @@ from .estimator import (
 from .kernels import (KernelSpec, _as_points, _block_rows, _distances, _metric_of_value,
                       kernel_value_at_distance)
 from .schema import FieldError, finite
-from .systems import SystemConfig, child_seed, sample_terminal_states
-
-# Stream index used to draw the fresh reference sample in sweeps; chosen far
-# outside any per-trajectory stream index so it never collides with training
-# draws.
-_FRESH_STREAM = 2**32
+from .systems import (REFERENCE_SIZE, REFERENCE_STREAM, SystemConfig, child_seed,
+                      sample_terminal_states)
 
 
 @dataclass(frozen=True)
@@ -43,12 +39,12 @@ class GridSpec:
     resolution_j: int = 100
 
     def __post_init__(self):
-        for field in ("range_i", "range_j"):
-            bounds = getattr(self, field)
-            if len(bounds) != 2:
-                raise FieldError(field, f"must hold exactly two numbers, got {bounds!r}")
-        if not all(finite(v) for v in (*self.fixed, *self.range_i, *self.range_j)):
-            raise ValueError("grid values must be finite")
+        for name in ("fixed", "range_i", "range_j"):
+            values = getattr(self, name)
+            if name != "fixed" and len(values) != 2:
+                raise FieldError(name, f"must hold exactly two numbers, got {values!r}")
+            if not all(finite(v) for v in values):
+                raise FieldError(name, f"must be finite, got {values!r}")
         fixed = tuple(float(v) for v in self.fixed)
         object.__setattr__(self, "fixed", fixed)
         object.__setattr__(self, "range_i", (float(self.range_i[0]), float(self.range_i[1])))
@@ -284,7 +280,7 @@ def convergence_sweep(
     kernel: KernelSpec = KernelSpec(),
     truth=None,
     truth_grid: GridSpec = None,
-    fresh_size: int = 1000,
+    fresh_size: int = REFERENCE_SIZE,
 ):
     """Empirical convergence study over increasing sample sizes.
 
@@ -329,7 +325,7 @@ def convergence_sweep(
         nodes = grid_nodes(truth_grid)
         actual = np.asarray(truth(nodes), dtype=bool)
 
-    fresh = {seed: np.asarray(sampler(fresh_size, child_seed(seed, _FRESH_STREAM)), dtype=float)
+    fresh = {seed: np.asarray(sampler(fresh_size, child_seed(seed, REFERENCE_STREAM)), dtype=float)
              for seed in set(seed_values)}
     rows = []
     for m in m_values:

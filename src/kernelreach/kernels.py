@@ -139,15 +139,17 @@ def _distances(p, q) -> np.ndarray:
 
     Unchecked: callers pass float arrays of one width, checked by ``_as_points``.
     The first coordinate's square is written straight into the sum, which
-    is the same bits as adding it to zeros.
+    is the same bits as adding it to zeros.  Finite points far apart overflow
+    to an infinite distance, whose kernel value is 0, so overflow is silent.
     """
-    total = np.subtract.outer(p[:, 0], q[:, 0])
-    np.square(total, out=total)
-    diff = np.empty_like(total)
-    for k in range(1, p.shape[1]):
-        np.subtract.outer(p[:, k], q[:, k], out=diff)
-        total += np.square(diff, out=diff)
-    return np.sqrt(total, out=total)
+    with np.errstate(over="ignore"):
+        total = np.subtract.outer(p[:, 0], q[:, 0])
+        np.square(total, out=total)
+        diff = np.empty_like(total)
+        for k in range(1, p.shape[1]):
+            np.subtract.outer(p[:, k], q[:, k], out=diff)
+            total += np.square(diff, out=diff)
+        return np.sqrt(total, out=total)
 
 
 def kernel_matrix(spec: KernelSpec, points, queries) -> np.ndarray:

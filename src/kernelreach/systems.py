@@ -74,6 +74,14 @@ _ACTIVATIONS = {
 }
 
 
+# The reference sample that ``run`` and ``sweep`` check a fit against: the
+# draws of master seed ``child_seed(master_seed, REFERENCE_STREAM)``.  Training
+# stream indices stay below 2**32 (see ``_stream_generators``), so no training
+# stream shares its seed.
+REFERENCE_STREAM = 2**32
+REFERENCE_SIZE = 1000
+
+
 def child_seed(master_seed: int, index: int) -> int:
     """Deterministic per-stream seed for sample index ``index``.
 

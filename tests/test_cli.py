@@ -26,7 +26,9 @@ from kernelreach import (
     load_sample_csv,
     save_sample_csv,
 )
+from kernelreach import cli
 from kernelreach.cli import RunConfig, grid_from_dict, load_run_config, main
+from kernelreach.systems import REFERENCE_STREAM, child_seed
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -710,6 +712,19 @@ def test_fit_out_of_memory_exits_4(tmp_path):
     assert not model.exists()
 
 
+def test_fit_out_of_memory_in_process_exits_4(tmp_path, monkeypatch, capsys):
+    def exhausted(samples, config):
+        raise MemoryError("Unable to allocate 2.05 GiB")
+
+    samples = tmp_path / "samples.csv"
+    samples.write_text(_POINTS)
+    model = tmp_path / "model.json"
+    monkeypatch.setattr(cli, "fit", exhausted)
+    assert main(["fit", "--samples", str(samples), "--out", str(model)]) == 4
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 2.05 GiB\n"
+    assert not model.exists()
+
+
 # A second layer that takes 3 inputs, where the first gives 1.
 _UNCHAINED_LAYER = {"weights": [0.0, 0.0, 0.0], "rows": 1, "cols": 3, "bias": [0.0],
                     "activation": "linear"}
@@ -964,7 +979,8 @@ def test_run_writes_what_the_command_chain_writes(tmp_path, capsys, name):
                  "--out", str(model_path)]) == 0
     assert main(["contour", "--model", str(model_path), "--grid", str(grid_path),
                  "--out", str(boundary)]) == 0
-    assert main(["simulate", "--config", str(fresh_config), "--seed", "90210",
+    reference_seed = child_seed(doc["master_seed"], REFERENCE_STREAM)
+    assert main(["simulate", "--config", str(fresh_config), "--seed", str(reference_seed),
                  "--out", str(fresh)]) == 0
     capsys.readouterr()
     assert main(["validate", "--model", str(model_path), "--samples", str(fresh)]) == 0
@@ -981,6 +997,26 @@ def test_run_writes_what_the_command_chain_writes(tmp_path, capsys, name):
         f"{name}: M={doc['sample_size']} tau={load_model(model_path).tau:.6f} "
         f"segments={segments} containment={rate:.4f} hausdorff={distance:.6f} (sample ")
     assert len(printed) == 1
+
+
+def test_run_never_validates_on_its_training_draws(tmp_path, monkeypatch):
+    # the reference sample's master seed is derived from the training seed, so
+    # even a training seed equal to some fixed reference seed draws apart
+    config = tmp_path / "run.json"
+    _write_cwh_config(config, sample_size=20, horizon=2, seed=90210)
+    draws = []
+    sample = cli.sample_terminal_states
+
+    def recording(*args):
+        draws.append(sample(*args))
+        return draws[-1]
+
+    monkeypatch.setattr(cli, "sample_terminal_states", recording)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    train, reference = (draw.points for draw in draws)
+    assert reference.shape == (1000, 4)
+    training_rows = {row.tobytes() for row in train}
+    assert not any(row.tobytes() in training_rows for row in reference)
 
 
 def test_run_fits_with_the_config_fit(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from kernelreach import (
     containment_rate,
     convergence_sweep,
     decision_value,
+    decision_values,
     directed_hausdorff,
     extract_contour,
     fit,
@@ -30,8 +32,9 @@ from kernelreach import (
     symmetric_difference_area,
     uniform_disk_sampler,
 )
-from kernelreach import geometry, kernels
+from kernelreach import geometry, kernels, systems
 from kernelreach.kernels import _distances
+from kernelreach.schema import FieldError
 
 
 def _unit_square_grid(res=2, n=2, lo=0.0, hi=1.0):
@@ -66,8 +69,14 @@ def test_gridspec_validation():
         GridSpec(0, 1, (0.0, 0.0), (0, 1), (0, 1), resolution_i=1)
     with pytest.raises(ValueError):
         GridSpec(0, 3, (0.0, 0.0), (0, 1), (0, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(FieldError, match=r"fixed must be finite, got \(0.0, nan\)"):
+        GridSpec(0, 1, (0.0, math.nan), (0, 1), (0, 1))
+    with pytest.raises(FieldError, match="^fixed must be finite"):
         GridSpec(0, 1, (0.0, 10**400), (0, 1), (0, 1))
+    with pytest.raises(FieldError, match=r"range_i must be finite, got \(-inf, 1.0\)"):
+        GridSpec(0, 1, (0.0, 0.0), (-math.inf, 1.0), (0, 1))
+    with pytest.raises(FieldError, match=r"range_j must be finite, got \(0.0, nan\)"):
+        GridSpec(0, 1, (0.0, 0.0), (0, 1), (0.0, math.nan))
     with pytest.raises(ValueError, match="range_i must hold exactly two numbers"):
         GridSpec(0, 1, (0.0, 0.0), (0, 1, 7), (0, 1))
     with pytest.raises(ValueError, match="range_j must hold exactly two numbers"):
@@ -413,6 +422,20 @@ def test_hausdorff_rejects_an_unknown_metric():
         hausdorff(np.zeros((2, 2)), np.ones((2, 2)), metric="cosine")
 
 
+@pytest.mark.parametrize("family", ["gaussian", "abel"])
+def test_far_points_give_zero_kernel_without_warnings(family):
+    # coordinate differences that overflow give K = 0, F = 0 and the
+    # kernel-metric distance sqrt(2), with no numpy warning
+    spec = KernelSpec(family, 0.5)
+    far = np.array([[1e200, -1e200]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernel_eval(spec, [0.0, 0.0], far[0]) == 0.0
+        model = fit(SampleSet(np.array([[0.0, 0.0], [1e200, 1.0]])), FitConfig(spec, 0.1))
+        assert decision_values(model, np.vstack([far, [[-1e200, 0.0]]])).tolist() == [0.0, 0.0]
+        assert hausdorff(far, np.zeros((1, 2)), metric=spec) == math.sqrt(2.0)
+
+
 # ---------------------------------------------------------------------------
 # Containment and area
 # ---------------------------------------------------------------------------
@@ -536,7 +559,7 @@ def test_system_sweep_simulates_its_largest_size_once_per_seed(monkeypatch):
 
     monkeypatch.setattr(geometry, "sample_terminal_states", counting)
     assert convergence_sweep(config, m_list, seeds, fresh_size=20) == expected
-    fresh = [(20, child_seed(seed, geometry._FRESH_STREAM)) for seed in (0, 4)]
+    fresh = [(20, child_seed(seed, systems.REFERENCE_STREAM)) for seed in (0, 4)]
     assert sorted(calls) == sorted([(25, 0), (25, 4), *fresh])
     with pytest.raises(ValueError, match=r"sample sizes must be at least 1, got \[0, 5\]"):
         convergence_sweep(config, [0, 5], [0])
